@@ -769,7 +769,6 @@ TraceReplayer::handleCandidate(std::uint32_t seq, std::uint64_t cyc)
         }
         n.issued = true;
         n.issueCycle = cyc;
-        clear_bit();
         commitNode(seq, cyc);
         std::uint32_t cur = f.parentBlock;
         if (cfg.blockSequentialImport && target != cur &&
@@ -779,6 +778,9 @@ TraceReplayer::handleCandidate(std::uint32_t seq, std::uint64_t cyc)
         } else {
             importBlock(target, cur);
         }
+        // The branch holds its reservation slot during its own
+        // import, as in the engine: free it only afterwards.
+        clear_bit();
         issuedAny = true;
         ++stats.otherOpsIssued;
         return;
