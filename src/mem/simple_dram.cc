@@ -1,6 +1,7 @@
 #include "simple_dram.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "inject/fault_injector.hh"
 
@@ -10,7 +11,7 @@ namespace salam::mem
 SimpleDram::SimpleDram(Simulation &sim, std::string name,
                        Tick clock_period, const DramConfig &config)
     : ClockedObject(sim, std::move(name), clock_period), cfg(config),
-      store(config.range.size(), 0), responsePort(*this),
+      responsePort(*this),
       responseEvent([this] { trySendResponses(); },
                     this->name() + ".response",
                     Event::memoryResponsePri,
@@ -21,6 +22,12 @@ SimpleDram::SimpleDram(Simulation &sim, std::string name,
     if (cfg.bytesPerTick <= 0.0)
         fatal("%s: DRAM bandwidth must be positive",
               this->name().c_str());
+    store.reset(static_cast<std::uint8_t *>(
+        std::calloc(cfg.range.size(), 1)));
+    if (!store)
+        fatal("%s: cannot allocate %llu bytes of DRAM",
+              this->name().c_str(),
+              static_cast<unsigned long long>(cfg.range.size()));
 }
 
 void
@@ -28,7 +35,7 @@ SimpleDram::backdoorWrite(std::uint64_t addr, const void *src,
                           std::size_t size)
 {
     SALAM_ASSERT(cfg.range.contains(addr, static_cast<unsigned>(size)));
-    std::memcpy(store.data() + (addr - cfg.range.start), src, size);
+    std::memcpy(store.get() + (addr - cfg.range.start), src, size);
 }
 
 void
@@ -36,7 +43,7 @@ SimpleDram::backdoorRead(std::uint64_t addr, void *dst,
                          std::size_t size) const
 {
     SALAM_ASSERT(cfg.range.contains(addr, static_cast<unsigned>(size)));
-    std::memcpy(dst, store.data() + (addr - cfg.range.start), size);
+    std::memcpy(dst, store.get() + (addr - cfg.range.start), size);
 }
 
 void
@@ -44,10 +51,10 @@ SimpleDram::access(PacketPtr pkt)
 {
     std::uint64_t offset = pkt->addr() - cfg.range.start;
     if (pkt->cmd() == MemCmd::ReadReq) {
-        pkt->setData(store.data() + offset, pkt->size());
+        pkt->setData(store.get() + offset, pkt->size());
         ++reads;
     } else {
-        std::memcpy(store.data() + offset, pkt->data(), pkt->size());
+        std::memcpy(store.get() + offset, pkt->data(), pkt->size());
         ++writes;
     }
     bytes += pkt->size();
@@ -91,7 +98,7 @@ SimpleDram::handleRequest(PacketPtr pkt)
     if (fi) {
         std::uint8_t *payload = pkt->isRead()
             ? pkt->data()
-            : store.data() + (pkt->addr() - cfg.range.start);
+            : store.get() + (pkt->addr() - cfg.range.start);
         fi->corruptPayload(name(), pkt->addr(), payload, pkt->size());
         ready += fi->responseDelay(name());
         if (fi->dropResponse(name()))

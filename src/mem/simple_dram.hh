@@ -11,8 +11,9 @@
 #ifndef SALAM_MEM_SIMPLE_DRAM_HH
 #define SALAM_MEM_SIMPLE_DRAM_HH
 
+#include <cstdlib>
 #include <deque>
-#include <vector>
+#include <memory>
 
 #include "port.hh"
 #include "sim/sim_object.hh"
@@ -90,8 +91,18 @@ class SimpleDram : public ClockedObject
 
     void trySendResponses();
 
+    /** Releases calloc()ed storage. */
+    struct FreeDeleter
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
     DramConfig cfg;
-    std::vector<std::uint8_t> store;
+    /**
+     * Backing bytes from calloc(): pages the run never touches stay
+     * unmapped zero pages instead of being zero-filled up front.
+     */
+    std::unique_ptr<std::uint8_t, FreeDeleter> store;
     DramPort responsePort;
     std::deque<Pending> responseQueue;
     EventFunctionWrapper responseEvent;

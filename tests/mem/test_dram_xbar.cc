@@ -44,6 +44,44 @@ TEST(SimpleDram, ReadAfterWrite)
     EXPECT_EQ(got, 0xABCDu);
 }
 
+/**
+ * The backing store is allocated lazily zeroed: bytes nobody wrote
+ * read back as zero, through the backdoor and through timing reads,
+ * across the whole range.
+ */
+TEST(SimpleDram, NeverWrittenBytesReadAsZero)
+{
+    constexpr std::uint64_t size = 64ull << 20;
+    Simulation sim;
+    auto &dram = sim.create<SimpleDram>("dram", 1000,
+                                        dramConfig(0x8000'0000, size));
+    TestRequester req(sim);
+    bindPorts(req, dram.port());
+
+    auto *w = req.write(0, 0x8000'0000 + size / 2, 0x1234'5678, 4);
+    std::vector<PacketPtr> reads;
+    for (std::uint64_t off : {std::uint64_t{0}, size / 2 + 4,
+                              size / 3, size - 8}) {
+        reads.push_back(req.read(100'000, 0x8000'0000 + off, 8));
+    }
+    sim.run();
+    EXPECT_EQ(w->cmd(), MemCmd::WriteResp);
+    for (PacketPtr r : reads) {
+        std::uint64_t got = ~0ull;
+        r->copyData(&got, 8);
+        EXPECT_EQ(got, 0u) << std::hex << r->addr();
+    }
+
+    std::vector<std::uint8_t> page(4096, 0xff);
+    dram.backdoorRead(0x8000'0000 + size - page.size(), page.data(),
+                      page.size());
+    for (std::uint8_t byte : page)
+        ASSERT_EQ(byte, 0u);
+    std::uint32_t written = 0;
+    dram.backdoorRead(0x8000'0000 + size / 2, &written, 4);
+    EXPECT_EQ(written, 0x1234'5678u);
+}
+
 TEST(SimpleDram, FlatLatencyForSmallAccess)
 {
     Simulation sim;
