@@ -19,6 +19,7 @@
 #include "mem/cache.hh"
 #include "mem/interconnect.hh"
 #include "mem/simple_dram.hh"
+#include "obs/critical_path.hh"
 
 using namespace salam;
 using namespace salam::core;
@@ -113,9 +114,13 @@ runFabricGemm(const InterconnectConfig &ic)
     return cu.stats();
 }
 
-/** Run @p kernel on the SPM fixture, optionally profiled. */
+/**
+ * Run @p kernel on the SPM fixture, optionally profiled; with
+ * @p causes, also return the critical path's per-cause cycles.
+ */
 EngineStats
-runProfiled(const kernels::Kernel &kernel, bool profile)
+runProfiled(const kernels::Kernel &kernel, bool profile,
+            std::string *causes = nullptr)
 {
     ir::Module mod("m");
     ir::IRBuilder b(mod);
@@ -133,6 +138,15 @@ runProfiled(const kernels::Kernel &kernel, bool profile)
     kernel.seed(backdoor, test::spmBase);
     sys.run(kernel.args(test::spmBase));
     EXPECT_EQ(kernel.check(backdoor, test::spmBase), "");
+    if (causes != nullptr) {
+        sys.sim.finalizeAll();
+        obs::CriticalPathReport report = obs::analyzeCriticalPath(
+            *sys.sim.profilers().front().second);
+        std::ostringstream os;
+        for (std::uint64_t cycles : report.causeCycles)
+            os << cycles << ",";
+        *causes = os.str();
+    }
     return sys.cu->stats();
 }
 
@@ -201,4 +215,15 @@ TEST(EnginePins, ProfilerLeavesStatsUnchanged)
         EXPECT_EQ(profiled.registerWriteEnergyPj,
                   plain.registerWriteEnergyPj);
     }
+}
+
+/**
+ * Wait causes come from visits a profiler forces the issue scan to
+ * make (closed classes, gated FU hand-offs); pin the attribution.
+ */
+TEST(EnginePins, ProfiledGemmCauses)
+{
+    std::string causes;
+    runProfiled(*kernels::makeGemm(8, 4), true, &causes);
+    EXPECT_EQ(causes, "0,270,0,1143,0,0,412,4,0,0,0,0,0,0,");
 }
