@@ -863,10 +863,8 @@ runSalam(const kernels::Kernel &kernel,
 
     out.cycles = cu.cycleCount();
     out.stats = cu.stats();
-    if (tel != nullptr) {
-        tel->noteArena(out.stats.arenaHits, out.stats.arenaMisses);
+    if (tel != nullptr)
         tel->samplePeakRss();
-    }
     out.report = core::buildReport(cu, &spm);
     out.spmReads = spm.readCount();
     out.spmWrites = spm.writeCount();

@@ -1,9 +1,11 @@
 #include "runtime_engine.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "mem/packet.hh"
+#include "obs/host_telemetry.hh"
 #include "sim/logging.hh"
 
 namespace salam::core
@@ -37,14 +39,81 @@ RuntimeEngine::RuntimeEngine(const StaticCdfg &cdfg,
                              EngineClient &client)
     : staticCdfg(cdfg), cfg(config), client(client)
 {
+    limitedFuOf.fill(noLimitedFu);
     for (std::size_t t = 0; t < numFuTypes; ++t) {
         unsigned limit = cfg.fuLimits[t];
-        if (limit > 0)
+        if (limit > 0) {
             poolFreeAt[t].assign(limit, 0);
+            limitedFuOf[t] =
+                static_cast<std::uint8_t>(numLimitedFus++);
+        }
     }
     latestInstance.assign(staticCdfg.numInstructions(), nullptr);
     committedValues.assign(staticCdfg.numValueIds(), RuntimeValue{});
     committedKnown.assign(staticCdfg.numValueIds(), 0);
+
+    // Issue-time costs and classes per static instruction. The
+    // energy terms are the products the issue path used to form per
+    // dynamic instance (same operand-bit double sum, same factors),
+    // so the accumulated energies are bit-identical.
+    const HardwareProfile &profile = cfg.profile;
+    facts.resize(staticCdfg.numInstructions());
+    for (unsigned id = 0; id < staticCdfg.numInstructions(); ++id) {
+        const StaticInstInfo &info = staticCdfg.infoById(id);
+        const Instruction *inst = info.inst;
+        StaticFacts &f = facts[id];
+        double read_bits = 0.0;
+        for (std::size_t o = 0; o < inst->numOperands(); ++o)
+            read_bits += inst->operand(o)->type()->bitWidth();
+        f.readEnergyPj =
+            read_bits * profile.registers().readEnergyPjPerBit;
+        if (!inst->type()->isVoid()) {
+            f.writeEnergyPj = static_cast<double>(info.resultBits) *
+                profile.registers().writeEnergyPjPerBit;
+        }
+        if (info.fu != FuType::None) {
+            f.fuEnergyPj = profile.fu(info.fu).dynamicEnergyPj;
+            f.limitedFu = limitedFuOf[static_cast<std::size_t>(info.fu)];
+        }
+        switch (inst->opcode()) {
+          case Opcode::Br:
+            f.kind = opBr;
+            break;
+          case Opcode::Ret:
+            f.kind = opRet;
+            break;
+          case Opcode::Load:
+            f.kind = opLoad;
+            break;
+          case Opcode::Store:
+            f.kind = opStore;
+            break;
+          default:
+            f.kind = opCompute;
+            break;
+        }
+        if (isFloatingPointOp(inst->opcode()) ||
+            info.fu == FuType::FpSpecial) {
+            f.lane = laneFp;
+        } else if (info.fu != FuType::None) {
+            f.lane = laneInt;
+        } else {
+            f.lane = laneOther;
+        }
+    }
+
+    // The window ring starts at twice the reservation capacity and
+    // grows on demand (reserveWindow).
+    std::uint64_t slots = 256;
+    while (slots < 2ull * cfg.reservationQueueSize)
+        slots *= 2;
+    window.assign(slots, nullptr);
+    windowMask = slots - 1;
+    candBits.assign(slots / 64, 0);
+    candLoadBits.assign(slots / 64, 0);
+    candStoreBits.assign(slots / 64, 0);
+    candFuBits.assign(numLimitedFus,
+                      std::vector<std::uint64_t>(slots / 64, 0));
 }
 
 void
@@ -66,21 +135,39 @@ RuntimeEngine::start(const std::vector<RuntimeValue> &args)
     retSeen = false;
     cycleCount = 0;
     importBlock(fn.entry(), nullptr);
-    // The entry block may issue in cycle 0.
-    for (DynInst *di : window)
-        di->minIssueCycle = 0;
+    // The entry block may issue in cycle 0, and so may its memory
+    // ops with an already-known pointer resolve.
+    for (std::uint64_t seq = windowFront; seq < nextSeq; ++seq)
+        atSeq(seq)->minIssueCycle = 0;
+    for (auto &due : dueResolves)
+        due.first = 0;
     client.engineRequestTick();
+}
+
+void
+RuntimeEngine::setObserver(EngineObserver obs)
+{
+    observer = std::move(obs);
+    bool prune = observer.profiler == nullptr;
+    if (pruneVisits && !prune) {
+        // A profiler sees every ready instance's wait cause: offer
+        // the ones hand-off gating kept out of the candidate set.
+        pruneVisits = false;
+        for (std::uint64_t seq = windowFront; seq < nextSeq; ++seq)
+            maybeCandidate(atSeq(seq));
+    }
+    pruneVisits = prune;
 }
 
 DynInst *
 RuntimeEngine::acquireDynInst()
 {
     if (freeList.empty()) {
-        ++engineStats.arenaMisses;
+        ++arenaMissCount;
         arena.push_back(std::make_unique<DynInst>());
         return arena.back().get();
     }
-    ++engineStats.arenaHits;
+    ++arenaHitCount;
     DynInst *di = freeList.back();
     freeList.pop_back();
     di->reset();
@@ -111,12 +198,45 @@ RuntimeEngine::createDynInst(const StaticInstInfo &info)
     }
     latest = di;
 
-    window.push_back(di);
+    reserveWindow(di->seq);
+    window[di->seq & windowMask] = di;
     ++engineStats.dynamicInstructions;
     if (capture != nullptr)
         capture->insts.push_back({info.id, DynTrace::noBranchTarget,
                                   0, 0});
     return di;
+}
+
+void
+RuntimeEngine::reserveWindow(std::uint64_t seq)
+{
+    // Keep one spare word so that a scan over [windowFront, nextSeq)
+    // never meets two seqs sharing a candidate word.
+    std::uint64_t needed = seq + 1 - windowFront + 64;
+    std::uint64_t slots = window.size();
+    if (needed <= slots)
+        return;
+    while (slots < needed)
+        slots *= 2;
+    std::uint64_t mask = slots - 1;
+    std::vector<DynInst *> grown(slots, nullptr);
+    auto regrid = [&](std::vector<std::uint64_t> &bits) {
+        std::vector<std::uint64_t> out(slots / 64, 0);
+        for (std::uint64_t s = windowFront; s < nextSeq; ++s) {
+            if (bits[(s >> 6) & (windowMask >> 6)] >> (s & 63) & 1)
+                out[(s >> 6) & (mask >> 6)] |= 1ull << (s & 63);
+        }
+        bits = std::move(out);
+    };
+    regrid(candBits);
+    regrid(candLoadBits);
+    regrid(candStoreBits);
+    for (auto &bits : candFuBits)
+        regrid(bits);
+    for (std::uint64_t s = windowFront; s < nextSeq; ++s)
+        grown[s & mask] = window[s & windowMask];
+    window = std::move(grown);
+    windowMask = mask;
 }
 
 void
@@ -130,8 +250,9 @@ RuntimeEngine::importBlock(const BasicBlock *block,
               "DeviceConfig::reservationQueueSize",
               block->name().c_str(), block->size(),
               cfg.reservationQueueSize);
-    if (reservationLive() + binfo.numInsts >
-        cfg.reservationQueueSize) {
+    // A branch importing its successor is still unissued here: it
+    // holds its slot until the import is done.
+    if (unissuedCount + binfo.numInsts > cfg.reservationQueueSize) {
         pendingImport = block;
         pendingImportFrom = from;
         pendingImportCtrlSeq = importCtrlSeq;
@@ -176,6 +297,9 @@ RuntimeEngine::importBlock(const BasicBlock *block,
                 if (latest != nullptr && !latest->committed) {
                     di->producers[slot] = latest;
                     ++latest->unissuedReaders;
+                    latest->readers.push_back(
+                        {di, static_cast<unsigned>(slot)});
+                    ++di->pendingOperands;
                     return;
                 }
                 if (latest != nullptr) {
@@ -219,26 +343,64 @@ RuntimeEngine::importBlock(const BasicBlock *block,
                 bind_plan(o, sinfo.operands[o]);
         }
 
-        reservationQueue.push_back(di);
+        ++unissuedCount;
         if (di->isMemory()) {
             di->memSeq = nextMemSeq++;
-            memoryOrder.push_back(di);
-            if (di->isLoad)
-                ++pendingLoadOps;
-            else
-                ++pendingStoreOps;
+            (di->isLoad ? unresolvedLoads : unresolvedStores)
+                .push_back(di->seq);
+            snapDirty = true;
+            // A pointer known at import resolves at the first scan
+            // past the import fence.
+            if (di->producers[di->isLoad ? 0 : 1] == nullptr)
+                scheduleResolve(di, di->minIssueCycle);
         }
+        maybeCandidate(di);
     }
 }
 
-bool
-RuntimeEngine::operandsReady(const DynInst &di) const
+void
+RuntimeEngine::maybeCandidate(DynInst *di)
 {
-    for (const DynInst *producer : di.producers) {
-        if (producer != nullptr && !producer->committed)
-            return false;
+    if (di->issued || di->pendingOperands != 0)
+        return;
+    const StaticFacts &f = factsOf(*di);
+    std::size_t word = (di->seq >> 6) & (windowMask >> 6);
+    std::uint64_t bit = 1ull << (di->seq & 63);
+    if (f.kind == opLoad) {
+        candLoadBits[word] |= bit;
+    } else if (f.kind == opStore) {
+        candStoreBits[word] |= bit;
+    } else if (f.kind == opCompute &&
+               di->staticInfo->fu != FuType::None) {
+        // fuAvailable rejects an instance whose previous instance
+        // has not issued or still has unissued readers, whatever
+        // the cycle; both conditions only clear (markIssued and
+        // captureOperands re-offer the successor then).
+        const DynInst *prev = di->prevInstance;
+        if (pruneVisits && prev != nullptr &&
+            (!prev->issued || prev->unissuedReaders > 0)) {
+            return;
+        }
+        if (f.limitedFu != noLimitedFu)
+            candFuBits[f.limitedFu][word] |= bit;
     }
-    return true;
+    candBits[word] |= bit;
+}
+
+void
+RuntimeEngine::markIssued(DynInst *di)
+{
+    std::size_t word = (di->seq >> 6) & (windowMask >> 6);
+    std::uint64_t keep = ~(1ull << (di->seq & 63));
+    candBits[word] &= keep;
+    candLoadBits[word] &= keep;
+    candStoreBits[word] &= keep;
+    std::uint8_t limited = factsOf(*di).limitedFu;
+    if (limited != noLimitedFu)
+        candFuBits[limited][word] &= keep;
+    --unissuedCount;
+    if (di->nextInstance != nullptr)
+        maybeCandidate(di->nextInstance);
 }
 
 void
@@ -250,7 +412,12 @@ RuntimeEngine::captureOperands(DynInst *di)
             SALAM_ASSERT(producer->committed);
             di->operandValues[i] = producer->result;
             SALAM_ASSERT(producer->unissuedReaders > 0);
-            --producer->unissuedReaders;
+            // The last reader draining the producer's result may
+            // open its successor instance's FU hand-off.
+            if (--producer->unissuedReaders == 0 &&
+                producer->nextInstance != nullptr) {
+                maybeCandidate(producer->nextInstance);
+            }
             di->producers[i] = nullptr;
             // Remember the latest-committing producer: it is the
             // critical data predecessor in the recorded CDFG.
@@ -267,7 +434,7 @@ RuntimeEngine::captureOperands(DynInst *di)
 }
 
 bool
-RuntimeEngine::fuAvailable(const DynInst &di) const
+RuntimeEngine::fuAvailable(const DynInst &di)
 {
     FuType type = di.staticInfo->fu;
     if (type == FuType::None)
@@ -297,6 +464,9 @@ RuntimeEngine::fuAvailable(const DynInst &di) const
         if (free_at <= cycleCount)
             return true;
     }
+    // Units only get busier within a scan: the pool stays exhausted
+    // for every later instance of this type this cycle.
+    scan.fuClosed |= 1u << factsOf(di).limitedFu;
     return false;
 }
 
@@ -320,20 +490,25 @@ RuntimeEngine::occupyFu(DynInst *di)
 }
 
 void
+RuntimeEngine::scheduleResolve(DynInst *di, std::uint64_t due)
+{
+    if (inScan && due <= cycleCount)
+        resolveAddress(di);
+    else
+        dueResolves.push_back({due, di});
+}
+
+void
 RuntimeEngine::resolveAddress(DynInst *di)
 {
     if (di->addrKnown)
         return;
     std::size_t ptr_slot = di->isLoad ? 0 : 1;
     const DynInst *producer = di->producers[ptr_slot];
-    RuntimeValue addr;
-    if (producer == nullptr) {
-        addr = di->operandValues[ptr_slot];
-    } else if (producer->committed) {
-        addr = producer->result;
-    } else {
-        return;
-    }
+    SALAM_ASSERT(producer == nullptr || producer->committed);
+    RuntimeValue addr = producer == nullptr
+        ? di->operandValues[ptr_slot]
+        : producer->result;
     di->memAddr = addr.bits;
     if (di->isLoad) {
         di->memSize = static_cast<unsigned>(
@@ -345,6 +520,10 @@ RuntimeEngine::resolveAddress(DynInst *di)
             store->value()->type()->storeSize());
     }
     di->addrKnown = true;
+    snapDirty = true;
+    std::vector<MemRef> &known = di->isLoad ? knownLoads : knownStores;
+    di->knownIndex = static_cast<std::uint32_t>(known.size());
+    known.push_back({di->memSeq, di->memAddr, di->memSize, di});
     if (capture != nullptr) {
         DynTraceInst &rec = capture->insts[di->seq];
         rec.memAddr = di->memAddr;
@@ -353,62 +532,53 @@ RuntimeEngine::resolveAddress(DynInst *di)
 }
 
 void
-RuntimeEngine::buildMemorySummary()
+RuntimeEngine::forgetAddress(DynInst *di)
 {
-    memSummary.unknownStoreSeq = ~0ull;
-    memSummary.unknownLoadSeq = ~0ull;
-    memSummary.stores.clear();
-    memSummary.loads.clear();
-    for (const DynInst *op : memoryOrder) {
-        if (op->committed)
-            continue;
-        if (op->isStore) {
-            if (!op->addrKnown) {
-                memSummary.unknownStoreSeq = std::min(
-                    memSummary.unknownStoreSeq, op->memSeq);
-            } else {
-                memSummary.stores.push_back(
-                    {op->memSeq, op->memAddr, op->memSize});
-            }
-        } else {
-            if (!op->addrKnown) {
-                memSummary.unknownLoadSeq = std::min(
-                    memSummary.unknownLoadSeq, op->memSeq);
-            } else {
-                memSummary.loads.push_back(
-                    {op->memSeq, op->memAddr, op->memSize});
-            }
+    std::vector<MemRef> &known = di->isLoad ? knownLoads : knownStores;
+    SALAM_ASSERT(di->knownIndex < known.size() &&
+                 known[di->knownIndex].inst == di);
+    known[di->knownIndex] = known.back();
+    known[di->knownIndex].inst->knownIndex = di->knownIndex;
+    known.pop_back();
+}
+
+void
+RuntimeEngine::refreshOrderingSnapshot()
+{
+    auto oldest = [this](std::deque<std::uint64_t> &fifo) {
+        while (!fifo.empty() && (fifo.front() < windowFront ||
+                                 atSeq(fifo.front())->addrKnown)) {
+            fifo.pop_front();
         }
-    }
+        return fifo.empty() ? never : atSeq(fifo.front())->memSeq;
+    };
+    snapUnknownStore = oldest(unresolvedStores);
+    snapUnknownLoad = oldest(unresolvedLoads);
 }
 
 bool
-RuntimeEngine::memoryOrderingAllows(const DynInst &di) const
+RuntimeEngine::olderOverlapPending(const DynInst &di) const
 {
-    SALAM_ASSERT(di.addrKnown);
-    // Unknown-address older stores block everything younger;
-    // unknown older loads block younger stores.
-    if (memSummary.unknownStoreSeq < di.memSeq)
-        return false;
-    if (di.isStore && memSummary.unknownLoadSeq < di.memSeq)
-        return false;
-
+    // An older access resolved after this cycle's snapshot is also
+    // older than the snapshot's unknown-address minimum, which the
+    // caller checked first, so the current lists give the snapshot's
+    // answer.
     auto overlaps = [&](const MemRef &ref) {
         return ref.seq < di.memSeq &&
             ref.addr < di.memAddr + di.memSize &&
             di.memAddr < ref.addr + ref.size;
     };
-    for (const MemRef &store : memSummary.stores) {
+    for (const MemRef &store : knownStores) {
         if (overlaps(store))
-            return false;
+            return true;
     }
     if (di.isStore) {
-        for (const MemRef &load : memSummary.loads) {
+        for (const MemRef &load : knownLoads) {
             if (overlaps(load))
-                return false;
+                return true;
         }
     }
-    return true;
+    return false;
 }
 
 void
@@ -426,19 +596,12 @@ RuntimeEngine::issueCompute(DynInst *di)
     if (observer.sink)
         di->issueTick = obsNow();
 
-    const HardwareProfile &profile = cfg.profile;
-    FuType type = di->staticInfo->fu;
-    if (type != FuType::None) {
-        engineStats.fuEnergyPj +=
-            profile.fu(type).dynamicEnergyPj;
-    }
+    const StaticFacts &f = factsOf(*di);
+    if (di->staticInfo->fu != FuType::None)
+        engineStats.fuEnergyPj += f.fuEnergyPj;
     // Register file activity: operand reads now, result write at
     // commit.
-    double read_bits = 0.0;
-    for (std::size_t o = 0; o < di->inst->numOperands(); ++o)
-        read_bits += di->inst->operand(o)->type()->bitWidth();
-    engineStats.registerReadEnergyPj +=
-        read_bits * profile.registers().readEnergyPjPerBit;
+    engineStats.registerReadEnergyPj += f.readEnergyPj;
 
     // Functional evaluation happens at issue; the commit of the
     // result is delayed by the unit latency.
@@ -454,6 +617,8 @@ RuntimeEngine::issueCompute(DynInst *di)
     } else {
         di->commitCycle = cycleCount + latency;
         computeQueue.push_back(di);
+        nextCommitDue = std::min(nextCommitDue, di->commitCycle);
+        ++fuInflight[static_cast<std::size_t>(di->staticInfo->fu)];
     }
 }
 
@@ -481,12 +646,25 @@ RuntimeEngine::commit(DynInst *di)
     if (!di->inst->type()->isVoid()) {
         committedValues[di->staticInfo->resultValueId] = di->result;
         committedKnown[di->staticInfo->resultValueId] = 1;
-        engineStats.registerWriteEnergyPj +=
-            static_cast<double>(di->staticInfo->resultBits) *
-            cfg.profile.registers().writeEnergyPjPerBit;
+        engineStats.registerWriteEnergyPj += factsOf(*di).writeEnergyPj;
     }
     if (observer.profiler != nullptr)
         recordProfile(di);
+    if (di->isMemory())
+        forgetAddress(di);
+
+    // Wake the readers bound to this result. A memory reader's
+    // pointer operand resolves its address at the first scan past
+    // both this commit and its import fence.
+    for (const DynInst::Reader &reader : di->readers) {
+        DynInst *r = reader.inst;
+        SALAM_ASSERT(r->pendingOperands > 0);
+        --r->pendingOperands;
+        if (r->isMemory() && reader.slot == (r->isLoad ? 0u : 1u))
+            scheduleResolve(r, std::max(cycleCount, r->minIssueCycle));
+        maybeCandidate(r);
+    }
+    di->readers.clear();
 }
 
 void
@@ -575,8 +753,8 @@ RuntimeEngine::pruneWindow()
     // may leave once it is committed, every reader has captured its
     // result, and a newer instance of the same static instruction
     // has issued (so nothing consults it for WAW/WAR any more).
-    while (!window.empty()) {
-        DynInst *front = window.front();
+    while (windowFront < nextSeq) {
+        DynInst *front = atSeq(windowFront);
         if (!front->committed || front->unissuedReaders > 0)
             break;
         if (front->nextInstance != nullptr &&
@@ -596,28 +774,17 @@ RuntimeEngine::pruneWindow()
         } else {
             front->nextInstance->prevInstance = nullptr;
         }
-        if (front->isMemory()) {
-            SALAM_ASSERT(!memoryOrder.empty() &&
-                         memoryOrder.front() == front);
-            memoryOrder.pop_front();
-        }
-        window.pop_front();
+        ++windowFront;
         releaseDynInst(front);
     }
 }
 
 void
-RuntimeEngine::recordCycleStats(bool issued_any,
-                                unsigned loads_issued,
-                                unsigned stores_issued,
-                                unsigned fp_issued)
+RuntimeEngine::recordCycleStats()
 {
     // In-flight FU occupancy by type.
-    for (const DynInst *op : computeQueue) {
-        std::size_t t =
-            static_cast<std::size_t>(op->staticInfo->fu);
-        ++engineStats.fuBusyCycleSum[t];
-    }
+    for (std::size_t t = 0; t < numFuTypes; ++t)
+        engineStats.fuBusyCycleSum[t] += fuInflight[t];
 
     if (observer.memQueueOccupancy) {
         observer.memQueueOccupancy->sample(
@@ -625,30 +792,29 @@ RuntimeEngine::recordCycleStats(bool issued_any,
     }
     if (observer.reservationOccupancy) {
         observer.reservationOccupancy->sample(
-            static_cast<double>(reservationQueue.size()));
+            static_cast<double>(unissuedCount));
     }
     if (observer.sink) {
         observer.sink->recordCounter(
             obsNow(), observer.name, "queues",
-            {{"reservation",
-              static_cast<double>(reservationQueue.size())},
+            {{"reservation", static_cast<double>(unissuedCount)},
              {"compute", static_cast<double>(computeQueue.size())},
              {"loads_in_flight", static_cast<double>(loadsInFlight)},
              {"stores_in_flight",
               static_cast<double>(storesInFlight)}});
     }
 
-    if (issued_any) {
+    if (scan.issuedAny) {
         ++engineStats.newExecCycles;
-        if (loads_issued > 0)
+        if (scan.loads > 0)
             ++engineStats.cyclesWithLoadIssue;
-        if (stores_issued > 0)
+        if (scan.stores > 0)
             ++engineStats.cyclesWithStoreIssue;
-        if (fp_issued > 0)
+        if (scan.fp > 0)
             ++engineStats.cyclesWithFpIssue;
-        if (loads_issued > 0 && stores_issued > 0)
+        if (scan.loads > 0 && scan.stores > 0)
             ++engineStats.cyclesWithLoadAndStoreIssue;
-        if (loads_issued > 0 && fp_issued > 0)
+        if (scan.loads > 0 && scan.fp > 0)
             ++engineStats.cyclesWithLoadAndFpIssue;
         return;
     }
@@ -696,8 +862,7 @@ RuntimeEngine::dumpState(obs::JsonBuilder &json) const
 {
     json.field("active", active).field("completed", completed);
     json.field("cycle", cycleCount);
-    json.field("window",
-               static_cast<std::uint64_t>(window.size()));
+    json.field("window", nextSeq - windowFront);
     json.field("loads_in_flight", std::uint64_t(loadsInFlight));
     json.field("stores_in_flight", std::uint64_t(storesInFlight));
     json.field("committed_instructions",
@@ -724,16 +889,20 @@ RuntimeEngine::dumpState(obs::JsonBuilder &json) const
     };
 
     json.beginArray("reservation_queue");
-    for (const DynInst *di : reservationQueue)
-        describe(di);
+    for (std::uint64_t seq = windowFront; seq < nextSeq; ++seq) {
+        if (!atSeq(seq)->issued)
+            describe(atSeq(seq));
+    }
     json.endArray();
     json.beginArray("compute_queue");
     for (const DynInst *di : computeQueue)
         describe(di);
     json.endArray();
     json.beginArray("memory_order");
-    for (const DynInst *di : memoryOrder)
-        describe(di);
+    for (std::uint64_t seq = windowFront; seq < nextSeq; ++seq) {
+        if (atSeq(seq)->isMemory())
+            describe(atSeq(seq));
+    }
     json.endArray();
 }
 
@@ -752,7 +921,158 @@ RuntimeEngine::finish()
         observer.sink->recordInstant(obsNow(), observer.name,
                                      "engine", "kernel done");
     }
+    if (obs::HostTelemetry *tel = SimContext::current().hostTelemetry())
+        tel->noteArena(arenaHitCount, arenaMissCount);
     client.engineDone();
+}
+
+void
+RuntimeEngine::visitCandidate(DynInst *di)
+{
+    if (di->minIssueCycle > cycleCount)
+        return; // imported this cycle: the fence lifts next cycle
+    const StaticFacts &f = factsOf(*di);
+
+    if (f.kind == opBr) {
+        const auto *br = static_cast<const BranchInst *>(di->inst);
+        captureOperands(di);
+        const BasicBlock *target;
+        if (br->isConditional()) {
+            target = di->operandValues[0].asBool() ? br->ifTrue()
+                                                   : br->ifFalse();
+        } else {
+            target = br->ifTrue();
+        }
+        di->issued = true;
+        di->issueCycle = cycleCount;
+        commit(di);
+        if (capture != nullptr) {
+            capture->insts[di->seq].branchTarget =
+                staticCdfg.blockInfo(target).id;
+        }
+        const BasicBlock *cur = di->inst->parent();
+        if (cfg.blockSequentialImport && target != cur &&
+            pendingImport == nullptr) {
+            // Defer the state transition until drain.
+            pendingImport = target;
+            pendingImportFrom = cur;
+            pendingImportCtrlSeq = di->seq;
+        } else {
+            importCtrlSeq = di->seq;
+            importBlock(target, cur);
+            importCtrlSeq = obs::noProfSeq;
+        }
+        markIssued(di);
+        scan.issuedAny = true;
+        ++engineStats.otherOpsIssued;
+        if (observer.issueClasses)
+            observer.issueClasses->add(laneOther);
+        return;
+    }
+    if (f.kind == opRet) {
+        captureOperands(di);
+        if (di->inst->numOperands() == 1)
+            di->result = di->operandValues[0];
+        di->issued = true;
+        di->issueCycle = cycleCount;
+        commit(di);
+        retSeen = true;
+        markIssued(di);
+        scan.issuedAny = true;
+        ++engineStats.otherOpsIssued;
+        if (observer.issueClasses)
+            observer.issueClasses->add(laneOther);
+        return;
+    }
+
+    if (f.kind == opLoad || f.kind == opStore) {
+        if (!di->addrKnown)
+            return; // pointer producer pending: stays a data wait
+        bool is_load = f.kind == opLoad;
+        // Unknown-address older stores block everything younger;
+        // unknown older loads block younger stores. Candidates come
+        // in memory order, so the first op the snapshot blocks
+        // closes its classes for the rest of the scan.
+        if (snapUnknownStore < di->memSeq) {
+            di->waitCause = obs::ProfCause::MemOrdering;
+            scan.loadsOrdered = scan.storesOrdered = true;
+            return;
+        }
+        if (!is_load && snapUnknownLoad < di->memSeq) {
+            di->waitCause = obs::ProfCause::MemOrdering;
+            scan.storesOrdered = true;
+            return;
+        }
+        if (olderOverlapPending(*di)) {
+            di->waitCause = obs::ProfCause::MemOrdering;
+            return;
+        }
+        if (is_load && (scan.loads >= cfg.readPortsPerCycle ||
+                        loadsInFlight >= cfg.readQueueSize)) {
+            scan.loadBlocked = true;
+            di->waitCause = obs::ProfCause::MemPort;
+            return;
+        }
+        if (!is_load && (scan.stores >= cfg.writePortsPerCycle ||
+                         storesInFlight >= cfg.writeQueueSize)) {
+            scan.storeBlocked = true;
+            di->waitCause = obs::ProfCause::MemPort;
+            return;
+        }
+        captureOperands(di);
+        if (!client.engineIssueMemory(di)) {
+            // Interface refused; operands stay captured, retry next
+            // cycle (captureOperands is idempotent once producers
+            // are cleared).
+            di->waitCause = obs::ProfCause::MemPort;
+            return;
+        }
+        di->issued = true;
+        di->issueCycle = cycleCount;
+        di->memInFlight = true;
+        markIssued(di);
+        if (observer.sink)
+            di->issueTick = obsNow();
+        SALAM_TRACE_AT(Issue, obsNow(), observer.name,
+                       "issue %s seq=%llu addr=0x%llx size=%u",
+                       is_load ? "load" : "store",
+                       (unsigned long long)di->seq,
+                       (unsigned long long)di->memAddr, di->memSize);
+        if (is_load) {
+            ++loadsInFlight;
+            ++scan.loads;
+            ++engineStats.loadsIssued;
+            if (observer.issueClasses)
+                observer.issueClasses->add(laneLoad);
+        } else {
+            ++storesInFlight;
+            ++scan.stores;
+            ++engineStats.storesIssued;
+            if (observer.issueClasses)
+                observer.issueClasses->add(laneStore);
+        }
+        scan.issuedAny = true;
+        return;
+    }
+
+    // Compute ops (including phi and zero-latency wiring).
+    if (!fuAvailable(*di)) {
+        di->waitCause = obs::ProfCause::FuContention;
+        return;
+    }
+    issueCompute(di);
+    markIssued(di);
+    scan.issuedAny = true;
+    if (f.lane == laneFp) {
+        ++scan.fp;
+        ++engineStats.fpOpsIssued;
+    } else if (f.lane == laneInt) {
+        ++engineStats.intOpsIssued;
+    } else {
+        ++engineStats.otherOpsIssued;
+    }
+    if (observer.issueClasses)
+        observer.issueClasses->add(f.lane);
 }
 
 void
@@ -761,15 +1081,27 @@ RuntimeEngine::cycle()
     if (!active)
         return;
 
-    // 1. Commit compute operations whose latency has elapsed.
-    for (std::size_t i = 0; i < computeQueue.size();) {
-        DynInst *op = computeQueue[i];
-        if (op->commitCycle <= cycleCount) {
-            commit(op);
-            computeQueue[i] = computeQueue.back();
-            computeQueue.pop_back();
-        } else {
-            ++i;
+    // 1. Commit compute operations whose latency has elapsed. The
+    //    queue is walked only on cycles with a due commit; a walk
+    //    without removals leaves it unchanged, so the swap-remove
+    //    commit order (which fixes the floating-point accumulation
+    //    order of the energy statistics) is that of a walk every
+    //    cycle.
+    if (cycleCount >= nextCommitDue) {
+        nextCommitDue = never;
+        for (std::size_t i = 0; i < computeQueue.size();) {
+            DynInst *op = computeQueue[i];
+            if (op->commitCycle <= cycleCount) {
+                --fuInflight[static_cast<std::size_t>(
+                    op->staticInfo->fu)];
+                commit(op);
+                computeQueue[i] = computeQueue.back();
+                computeQueue.pop_back();
+            } else {
+                nextCommitDue = std::min(nextCommitDue,
+                                         op->commitCycle);
+                ++i;
+            }
         }
     }
 
@@ -777,9 +1109,8 @@ RuntimeEngine::cycle()
     //    scheduling a cross-block import additionally waits for the
     //    pipeline to drain (FSM state-transition semantics).
     if (pendingImport != nullptr) {
-        bool drained = reservationQueue.empty() &&
-            computeQueue.empty() && loadsInFlight == 0 &&
-            storesInFlight == 0;
+        bool drained = unissuedCount == 0 && computeQueue.empty() &&
+            loadsInFlight == 0 && storesInFlight == 0;
         if (!cfg.blockSequentialImport || drained ||
             pendingImportFrom == pendingImport) {
             importCtrlSeq = pendingImportCtrlSeq;
@@ -810,224 +1141,80 @@ RuntimeEngine::cycle()
         }
     }
 
-    // 3. Scan the reservation queue and issue everything that is
-    //    ready. The scan is in program order but issue is dataflow:
-    //    younger ready instructions are not blocked by older
-    //    unready ones (other than through the explicit dependency,
-    //    FU, and memory-ordering rules).
-    unsigned loads_issued = 0;
-    unsigned stores_issued = 0;
-    unsigned fp_issued = 0;
-    bool issued_any = false;
-    bool ready_load_blocked = false;
-    bool ready_store_blocked = false;
-    buildMemorySummary();
-
-    // Single-pass in-place compaction: entries that stay are slid
-    // to `write`, issued entries are dropped, and importBlock() may
-    // append during the walk (terminator evaluation) — appended
-    // entries are visited by the same scan (and kept: their
-    // minIssueCycle fence is next cycle). Visit order matches the
-    // old erase-in-place deque scan exactly, so timing is
-    // unchanged; rsvConsumed keeps the live count correct for the
-    // capacity check inside importBlock().
-    std::size_t write = 0;
-    rsvConsumed = 0;
-    for (std::size_t read = 0; read < reservationQueue.size();
-         ++read) {
-        DynInst *di = reservationQueue[read];
-        if (di->minIssueCycle > cycleCount) {
-            reservationQueue[write++] = di;
-            continue;
-        }
-        // Effective addresses resolve as soon as the pointer operand
-        // commits, even if the op cannot issue yet — younger memory
-        // ops use them for disambiguation.
-        if (di->isMemory())
+    // 3. Snapshot the unknown-address minimums, then resolve the
+    //    addresses that came due: their pointers committed and their
+    //    fences lifted by this cycle.
+    if (snapDirty) {
+        snapDirty = false;
+        refreshOrderingSnapshot();
+    }
+    for (std::size_t i = 0; i < dueResolves.size();) {
+        if (dueResolves[i].first <= cycleCount) {
+            DynInst *di = dueResolves[i].second;
+            dueResolves[i] = dueResolves.back();
+            dueResolves.pop_back();
             resolveAddress(di);
-        if (!operandsReady(*di)) {
-            reservationQueue[write++] = di;
-            continue;
-        }
-
-        Opcode op = di->inst->opcode();
-        if (op == Opcode::Br) {
-            const auto *br =
-                static_cast<const BranchInst *>(di->inst);
-            captureOperands(di);
-            const BasicBlock *target;
-            if (br->isConditional()) {
-                target = di->operandValues[0].asBool()
-                             ? br->ifTrue()
-                             : br->ifFalse();
-            } else {
-                target = br->ifTrue();
-            }
-            di->issued = true;
-            di->issueCycle = cycleCount;
-            commit(di);
-            if (capture != nullptr) {
-                capture->insts[di->seq].branchTarget =
-                    staticCdfg.blockInfo(target).id;
-            }
-            const BasicBlock *cur = di->inst->parent();
-            if (cfg.blockSequentialImport && target != cur &&
-                pendingImport == nullptr) {
-                // Defer the state transition until drain.
-                pendingImport = target;
-                pendingImportFrom = cur;
-                pendingImportCtrlSeq = di->seq;
-            } else {
-                importCtrlSeq = di->seq;
-                // The branch still occupies its queue slot during
-                // the import (it is dropped just below), matching
-                // the historical erase-after-import capacity
-                // accounting.
-                importBlock(target, cur);
-                importCtrlSeq = obs::noProfSeq;
-            }
-            ++rsvConsumed;
-            issued_any = true;
-            ++engineStats.otherOpsIssued;
-            if (observer.issueClasses)
-                observer.issueClasses->add(laneOther);
-            continue;
-        }
-        if (op == Opcode::Ret) {
-            captureOperands(di);
-            if (di->inst->numOperands() == 1)
-                di->result = di->operandValues[0];
-            di->issued = true;
-            di->issueCycle = cycleCount;
-            commit(di);
-            retSeen = true;
-            ++rsvConsumed;
-            issued_any = true;
-            ++engineStats.otherOpsIssued;
-            if (observer.issueClasses)
-                observer.issueClasses->add(laneOther);
-            continue;
-        }
-
-        if (di->isMemory()) {
-            if (!di->addrKnown) {
-                // Pointer producer pending: stays a data wait.
-                reservationQueue[write++] = di;
-                continue;
-            }
-            if (!memoryOrderingAllows(*di)) {
-                di->waitCause = obs::ProfCause::MemOrdering;
-                reservationQueue[write++] = di;
-                continue;
-            }
-            bool is_load = di->isLoad;
-            if (is_load &&
-                (loads_issued >= cfg.readPortsPerCycle ||
-                 loadsInFlight >= cfg.readQueueSize)) {
-                ready_load_blocked = true;
-                di->waitCause = obs::ProfCause::MemPort;
-                reservationQueue[write++] = di;
-                continue;
-            }
-            if (!is_load &&
-                (stores_issued >= cfg.writePortsPerCycle ||
-                 storesInFlight >= cfg.writeQueueSize)) {
-                ready_store_blocked = true;
-                di->waitCause = obs::ProfCause::MemPort;
-                reservationQueue[write++] = di;
-                continue;
-            }
-            captureOperands(di);
-            if (!client.engineIssueMemory(di)) {
-                // Interface refused; operands stay captured, retry
-                // next cycle (captureOperands is idempotent once
-                // producers are cleared).
-                di->waitCause = obs::ProfCause::MemPort;
-                reservationQueue[write++] = di;
-                continue;
-            }
-            di->issued = true;
-            di->issueCycle = cycleCount;
-            di->memInFlight = true;
-            // An issued (uncommitted) op still participates in the
-            // summary; address resolution of scanned ops may have
-            // added entries, so refresh lazily next cycle. Newly
-            // resolved addresses this cycle only *relax* ordering,
-            // so the stale summary is conservative, not wrong.
-            if (observer.sink)
-                di->issueTick = obsNow();
-            SALAM_TRACE_AT(Issue, obsNow(), observer.name,
-                           "issue %s seq=%llu addr=0x%llx size=%u",
-                           is_load ? "load" : "store",
-                           (unsigned long long)di->seq,
-                           (unsigned long long)di->memAddr,
-                           di->memSize);
-            if (is_load) {
-                ++loadsInFlight;
-                ++loads_issued;
-                ++engineStats.loadsIssued;
-                --pendingLoadOps;
-                if (observer.issueClasses)
-                    observer.issueClasses->add(laneLoad);
-            } else {
-                ++storesInFlight;
-                ++stores_issued;
-                ++engineStats.storesIssued;
-                --pendingStoreOps;
-                if (observer.issueClasses)
-                    observer.issueClasses->add(laneStore);
-            }
-            issued_any = true;
-            ++rsvConsumed;
-            continue;
-        }
-
-        // Compute ops (including phi and zero-latency wiring).
-        if (!fuAvailable(*di)) {
-            di->waitCause = obs::ProfCause::FuContention;
-            reservationQueue[write++] = di;
-            continue;
-        }
-        issueCompute(di);
-        issued_any = true;
-        ++rsvConsumed;
-        if (isFloatingPointOp(op) ||
-            di->staticInfo->fu == FuType::FpSpecial) {
-            ++fp_issued;
-            ++engineStats.fpOpsIssued;
-            if (observer.issueClasses)
-                observer.issueClasses->add(laneFp);
-        } else if (di->staticInfo->fu != FuType::None) {
-            ++engineStats.intOpsIssued;
-            if (observer.issueClasses)
-                observer.issueClasses->add(laneInt);
         } else {
-            ++engineStats.otherOpsIssued;
-            if (observer.issueClasses)
-                observer.issueClasses->add(laneOther);
+            ++i;
         }
     }
-    reservationQueue.resize(write);
-    rsvConsumed = 0;
+
+    // 4. Visit the issue candidates in ascending seq — the program
+    //    order the reservation queue keeps. Issue is dataflow:
+    //    younger ready instructions are not blocked by older unready
+    //    ones (other than through the explicit dependency, FU, and
+    //    memory-ordering rules). Visits may add candidates (mid-scan
+    //    commits, block imports), always younger than the visit;
+    //    re-reading the current word picks them up this cycle.
+    scan = ScanState{};
+    inScan = true;
+    firstUnissued = std::max(firstUnissued, windowFront);
+    while (firstUnissued < nextSeq && atSeq(firstUnissued)->issued)
+        ++firstUnissued;
+    std::uint64_t wi = firstUnissued >> 6;
+    std::uint64_t mask = ~0ull << (firstUnissued & 63);
+    while (nextSeq != 0 && wi <= (nextSeq - 1) >> 6) {
+        std::size_t pw = wi & (windowMask >> 6);
+        std::uint64_t w = candBits[pw] & mask;
+        if (pruneVisits) {
+            // A closed class only parks its remaining candidates
+            // (their wait causes aside), so skip it wholesale.
+            if (scan.loadBlocked || scan.loadsOrdered)
+                w &= ~candLoadBits[pw];
+            if (scan.storeBlocked || scan.storesOrdered)
+                w &= ~candStoreBits[pw];
+            for (std::uint32_t cm = scan.fuClosed; cm != 0;
+                 cm &= cm - 1) {
+                w &= ~candFuBits[std::countr_zero(cm)][pw];
+            }
+        }
+        if (w == 0) {
+            ++wi;
+            mask = ~0ull;
+            continue;
+        }
+        auto b = static_cast<unsigned>(std::countr_zero(w));
+        mask = b == 63 ? 0 : ~0ull << (b + 1);
+        visitCandidate(atSeq((wi << 6) | b));
+    }
+    inScan = false;
 
     SALAM_TRACE_AT(RuntimeEngine, obsNow(), observer.name,
                    "cyc %llu: issued=%d loads=%u stores=%u fp=%u "
-                   "rq=%zu cq=%zu lif=%u sif=%u",
-                   (unsigned long long)cycleCount, (int)issued_any,
-                   loads_issued, stores_issued, fp_issued,
-                   reservationQueue.size(), computeQueue.size(),
-                   loadsInFlight, storesInFlight);
-    memStallLoadBlocked = ready_load_blocked;
-    memStallStoreBlocked = ready_store_blocked;
-    recordCycleStats(issued_any, loads_issued, stores_issued,
-                     fp_issued);
+                   "rq=%u cq=%zu lif=%u sif=%u",
+                   (unsigned long long)cycleCount, (int)scan.issuedAny,
+                   scan.loads, scan.stores, scan.fp, unissuedCount,
+                   computeQueue.size(), loadsInFlight, storesInFlight);
+    memStallLoadBlocked = scan.loadBlocked;
+    memStallStoreBlocked = scan.storeBlocked;
+    recordCycleStats();
     pruneWindow();
 
-    // 4. Completion check: the kernel is done when ret has executed
+    // 5. Completion check: the kernel is done when ret has executed
     //    and every queue has drained.
-    if (retSeen && reservationQueue.empty() &&
-        computeQueue.empty() && loadsInFlight == 0 &&
-        storesInFlight == 0 && pendingImport == nullptr) {
+    if (retSeen && unissuedCount == 0 && computeQueue.empty() &&
+        loadsInFlight == 0 && storesInFlight == 0 &&
+        pendingImport == nullptr) {
         finish();
         return;
     }

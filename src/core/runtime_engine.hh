@@ -21,6 +21,16 @@
  * and correct data-dependent control — the behaviours trace-based
  * models cannot capture.
  *
+ * Issue is event-driven. Each instance counts its uncommitted
+ * producers, and a producer's commit decrements its readers' counts;
+ * an instance whose count reaches zero enters an issue-candidate set
+ * that each cycle visits in ascending sequence order. Once a cycle's
+ * load or store budget, or a limited FU pool, is exhausted, that
+ * class closes for the rest of the cycle. The memory-disambiguation
+ * state is kept up to date incrementally as addresses resolve and
+ * operations commit, so a cycle's work is proportional to the
+ * instructions that can act in it, not to the window size.
+ *
  * The engine is a plain clock-stepped class (no SimObject coupling)
  * so it can be unit-tested against a scripted memory interface; the
  * ComputeUnit SimObject drives it inside a full system.
@@ -74,6 +84,19 @@ struct DynInst
     /** Producer instance for each operand (null when committed). */
     std::vector<DynInst *> producers;
 
+    /** Producers in `producers` that have not committed yet. */
+    unsigned pendingOperands = 0;
+
+    /** One reader bound to this instance's result at import. */
+    struct Reader
+    {
+        DynInst *inst;
+        unsigned slot;
+    };
+
+    /** Readers with a live RAW edge here, notified at commit. */
+    std::vector<Reader> readers;
+
     /** Captured operand values (filled at issue). */
     std::vector<ir::RuntimeValue> operandValues;
 
@@ -95,6 +118,8 @@ struct DynInst
     unsigned memSize = 0;
     /** Position in program memory order (disambiguation). */
     std::uint64_t memSeq = 0;
+    /** Index in the engine's resolved-address list while listed. */
+    std::uint32_t knownIndex = 0;
 
     // Profiling state, maintained only while a profiler is attached.
     /** Commit cycle of the latest dynamic operand producer. */
@@ -133,6 +158,8 @@ struct DynInst
         prevInstance = nullptr;
         nextInstance = nullptr;
         producers.clear();
+        pendingOperands = 0;
+        readers.clear();
         operandValues.clear();
         result = ir::RuntimeValue{};
         commitCycle = 0;
@@ -145,6 +172,7 @@ struct DynInst
         memAddr = 0;
         memSize = 0;
         memSeq = 0;
+        knownIndex = 0;
         prodReadyCycle = 0;
         prodParentSeq = obs::noProfSeq;
         ctrlParentSeq = obs::noProfSeq;
@@ -182,12 +210,6 @@ struct EngineStats
     std::uint64_t dynamicInstructions = 0;
     /** Dynamic instructions retired (forward-progress signal). */
     std::uint64_t committedInstructions = 0;
-
-    // Allocation pressure (host telemetry): DynInst requests served
-    // from the freelist vs ones that grew the arena with a heap
-    // allocation.
-    std::uint64_t arenaHits = 0;
-    std::uint64_t arenaMisses = 0;
 
     // Cycle-granularity scheduling overlap (Fig. 15).
     std::uint64_t cyclesWithLoadIssue = 0;
@@ -313,8 +335,11 @@ class RuntimeEngine
 
     unsigned writesInFlight() const { return storesInFlight; }
 
-    /** Attach (or replace) the observability wiring. */
-    void setObserver(EngineObserver obs) { observer = std::move(obs); }
+    /**
+     * Attach (or replace) the observability wiring. ComputeUnit
+     * attaches it at init(), which may come after start().
+     */
+    void setObserver(EngineObserver obs);
 
     /**
      * Capture this run's dynamic trace into @p trace (see
@@ -365,6 +390,60 @@ class RuntimeEngine
         numIssueLanes
     };
 
+    /** Issue path of a static instruction. */
+    enum OpKind : std::uint8_t
+    {
+        opCompute = 0,
+        opBr,
+        opRet,
+        opLoad,
+        opStore
+    };
+
+    static constexpr std::uint8_t noLimitedFu = 0xff;
+    static constexpr std::uint64_t never = ~0ull;
+
+    /** Per-static-instruction facts hoisted out of the issue path. */
+    struct StaticFacts
+    {
+        /** Σ operand register bits × read energy (issue cost). */
+        double readEnergyPj = 0.0;
+        /** Result bits × write energy; 0 for void results. */
+        double writeEnergyPj = 0.0;
+        double fuEnergyPj = 0.0;
+        OpKind kind = opCompute;
+        /** Compute ops: laneFp, laneInt or laneOther. */
+        IssueLane lane = laneOther;
+        /** Dense index among limited FU pools; noLimitedFu if none. */
+        std::uint8_t limitedFu = noLimitedFu;
+    };
+
+    /** One resolved, uncommitted memory reference. */
+    struct MemRef
+    {
+        std::uint64_t seq;
+        std::uint64_t addr;
+        unsigned size;
+        DynInst *inst;
+    };
+
+    /** Per-cycle issue bookkeeping, reset at every scan. */
+    struct ScanState
+    {
+        unsigned loads = 0;
+        unsigned stores = 0;
+        unsigned fp = 0;
+        bool issuedAny = false;
+        /** A ready op of the class found its port/queue budget spent. */
+        bool loadBlocked = false;
+        bool storeBlocked = false;
+        /** The ordering snapshot blocks every later op of the class. */
+        bool loadsOrdered = false;
+        bool storesOrdered = false;
+        /** Bit per limited FU pool found exhausted this cycle. */
+        std::uint32_t fuClosed = 0;
+    };
+
     /** Trace timestamp: wall tick when wired, cycle count bare. */
     Tick
     obsNow() const
@@ -384,32 +463,57 @@ class RuntimeEngine
     /** Return a retired DynInst to the arena freelist. */
     void releaseDynInst(DynInst *di) { freeList.push_back(di); }
 
-    /** Reservation-queue entries alive right now: during the issue
-     *  scan, consumed entries await compaction and must not count
-     *  against the queue capacity. */
-    std::size_t
-    reservationLive() const
-    {
-        return reservationQueue.size() - rsvConsumed;
-    }
+    const StaticFacts &factsOf(const DynInst &di) const
+    { return facts[di.staticInfo->id]; }
 
-    bool operandsReady(const DynInst &di) const;
+    /** The in-window instance with sequence number @p seq. */
+    DynInst *atSeq(std::uint64_t seq) const
+    { return window[seq & windowMask]; }
+
+    /** Make room in the window ring for sequence number @p seq. */
+    void reserveWindow(std::uint64_t seq);
+
+    /**
+     * Enter @p di into the issue-candidate set once its operands
+     * have committed. Without a profiler, an FU-bound compute op
+     * also waits for its previous instance's hand-off (issued, with
+     * every reader of its result issued).
+     */
+    void maybeCandidate(DynInst *di);
+
+    /** Leave the candidate set and the reservation count at issue. */
+    void markIssued(DynInst *di);
 
     /** Capture operand values (producers committed by now). */
     void captureOperands(DynInst *di);
 
-    bool fuAvailable(const DynInst &di) const;
+    bool fuAvailable(const DynInst &di);
 
     void occupyFu(DynInst *di);
 
-    /** Try to resolve a memory op's effective address. */
+    /**
+     * Resolve @p di's address at cycle @p due: in the running scan
+     * when due, otherwise at the start of that cycle's scan.
+     */
+    void scheduleResolve(DynInst *di, std::uint64_t due);
+
+    /** Resolve a memory op's effective address (pointer is ready). */
     void resolveAddress(DynInst *di);
 
-    /** Rebuild the per-cycle memory disambiguation summary. */
-    void buildMemorySummary();
+    /** Refresh the start-of-cycle unknown-address minimums. */
+    void refreshOrderingSnapshot();
 
-    /** Memory ordering: may @p di access memory now? */
-    bool memoryOrderingAllows(const DynInst &di) const;
+    /**
+     * Does an older, resolved, uncommitted access overlap @p di with
+     * a conflicting kind (store before anything, load before store)?
+     */
+    bool olderOverlapPending(const DynInst &di) const;
+
+    /** Drop @p di from the resolved-address lists (at commit). */
+    void forgetAddress(DynInst *di);
+
+    /** Visit one candidate in the issue scan. */
+    void visitCandidate(DynInst *di);
 
     void issueCompute(DynInst *di);
 
@@ -421,9 +525,7 @@ class RuntimeEngine
     /** Drop fully retired instructions from the window front. */
     void pruneWindow();
 
-    void recordCycleStats(bool issued_any, unsigned loads_issued,
-                          unsigned stores_issued,
-                          unsigned fp_issued);
+    void recordCycleStats();
 
     void finish();
 
@@ -437,12 +539,19 @@ class RuntimeEngine
     std::uint64_t cycleCount = 0;
     std::uint64_t nextSeq = 0;
 
+    std::vector<StaticFacts> facts;
+    std::array<std::uint8_t, hw::numFuTypes> limitedFuOf{};
+    unsigned numLimitedFus = 0;
+
     /**
-     * The instruction window (reservation + in-flight), oldest
-     * first. Entries are arena-pooled: retirement returns them to
+     * The instruction window (reservation + in-flight), sequence
+     * numbers [windowFront, nextSeq), as a power-of-two ring indexed
+     * by seq. Entries are arena-pooled: retirement returns them to
      * the freelist instead of deallocating.
      */
-    std::deque<DynInst *> window;
+    std::vector<DynInst *> window;
+    std::uint64_t windowMask = 0;
+    std::uint64_t windowFront = 0;
 
     /** Backing storage for every DynInst ever created (arena). */
     std::vector<std::unique_ptr<DynInst>> arena;
@@ -451,39 +560,67 @@ class RuntimeEngine
     std::vector<DynInst *> freeList;
 
     /**
-     * Unissued instructions, in program order. The per-cycle issue
-     * scan compacts in place: consumed entries are counted in
-     * rsvConsumed until the scan's single erase at the end.
+     * Host allocation counters, not simulated statistics: DynInst
+     * requests served from the freelist vs ones that grew the arena
+     * with a heap allocation. finish() adds them to the bound
+     * SimContext's HostTelemetry (obs::HostTelemetry::noteArena).
      */
-    std::vector<DynInst *> reservationQueue;
+    std::uint64_t arenaHitCount = 0;
+    std::uint64_t arenaMissCount = 0;
 
-    /** Entries consumed so far by the in-progress issue scan. */
-    std::size_t rsvConsumed = 0;
+    /**
+     * Issue-candidate set: one bit per window seq, word (seq >> 6)
+     * masked to the ring. The class shadows mark loads, stores and
+     * compute ops bound to each limited FU pool, so a closed class
+     * is masked out of a scan wholesale.
+     */
+    std::vector<std::uint64_t> candBits;
+    std::vector<std::uint64_t> candLoadBits;
+    std::vector<std::uint64_t> candStoreBits;
+    std::vector<std::vector<std::uint64_t>> candFuBits;
 
-    /** Issued compute ops waiting to commit, ordered by cycle. */
+    /** Lower bound on the oldest unissued seq (scan start). */
+    std::uint64_t firstUnissued = 0;
+
+    /** Imported but unissued instructions (queue occupancy). */
+    unsigned unissuedCount = 0;
+
+    /**
+     * Class closing and hand-off-gated candidacy skip visits whose
+     * only effect is an instance's profiler wait cause, so they are
+     * enabled only while no profiler is attached.
+     */
+    bool pruneVisits = true;
+
+    bool inScan = false;
+    ScanState scan;
+
+    /** Issued compute ops waiting to commit (swap-remove order). */
     std::vector<DynInst *> computeQueue;
+    /** Earliest commitCycle in computeQueue (a lower bound). */
+    std::uint64_t nextCommitDue = never;
+    /** computeQueue entries per FU type (occupancy statistics). */
+    std::array<std::uint32_t, hw::numFuTypes> fuInflight{};
 
-    /** Memory ops in window, in program order (for ordering). */
-    std::deque<DynInst *> memoryOrder;
+    /**
+     * Unresolved memory ops by seq, in memory order. Their fronts
+     * give the unknown-address minimums of the ordering snapshot,
+     * taken at the start of each cycle: resolutions made during a
+     * scan reach the unknown-address gates only the next cycle.
+     */
+    std::deque<std::uint64_t> unresolvedStores;
+    std::deque<std::uint64_t> unresolvedLoads;
+    std::uint64_t snapUnknownStore = never;
+    std::uint64_t snapUnknownLoad = never;
+    bool snapDirty = false;
 
-    /** One uncommitted memory reference in the summary. */
-    struct MemRef
-    {
-        std::uint64_t seq;
-        std::uint64_t addr;
-        unsigned size;
-    };
+    /** Resolved, uncommitted memory references (any order). */
+    std::vector<MemRef> knownStores;
+    std::vector<MemRef> knownLoads;
 
-    /** Per-cycle disambiguation summary over memoryOrder. */
-    struct MemorySummary
-    {
-        std::uint64_t unknownStoreSeq = ~0ull;
-        std::uint64_t unknownLoadSeq = ~0ull;
-        std::vector<MemRef> stores;
-        std::vector<MemRef> loads;
-    };
+    /** Address resolutions due at the start of a later scan. */
+    std::vector<std::pair<std::uint64_t, DynInst *>> dueResolves;
 
-    MemorySummary memSummary;
     std::uint64_t nextMemSeq = 0;
 
     /**
@@ -523,12 +660,8 @@ class RuntimeEngine
     std::uint64_t importMemWaitCycles = 0;
     std::uint64_t importOtherWaitCycles = 0;
 
-
     unsigned loadsInFlight = 0;
     unsigned storesInFlight = 0;
-    /** Unissued memory ops in the reservation queue. */
-    unsigned pendingLoadOps = 0;
-    unsigned pendingStoreOps = 0;
     /** Ready-but-port-blocked memory ops seen this cycle. */
     bool memStallLoadBlocked = false;
     bool memStallStoreBlocked = false;

@@ -362,15 +362,6 @@ TraceReplayer::importBlock(std::uint32_t block_id,
     const ReplayPrep &pp = *prep;
     for (unsigned i = 0; i < binfo.numInsts; ++i) {
         std::uint32_t seq = imported++;
-        // Mirrors createDynInst, including the arena-freelist
-        // hit/miss accounting (the engine recycles retired DynInsts;
-        // the replay only mirrors the counters).
-        if (freeCount == 0) {
-            ++stats.arenaMisses;
-        } else {
-            ++stats.arenaHits;
-            --freeCount;
-        }
         ++stats.dynamicInstructions;
         ++unissuedCount;
 
@@ -631,7 +622,6 @@ TraceReplayer::pruneWindow()
             !nodes[next].issued) {
             break;
         }
-        ++freeCount;
         ++pruneFront;
     }
 }

@@ -19,16 +19,17 @@
  * pipeline, and produces bit-identical EngineStats (cycles, stall
  * attribution, issue mix, FU occupancy, dynamic energy).
  *
- * Unlike the engine, it does not rescan the whole reservation window
- * every cycle. The trace's scheduling skeleton — producer edges,
- * same-instruction chains, memory conflicts — is config-independent,
- * so it is prepared once per capture (ReplayPrep) and each replay
- * runs event-driven on top of it: commits decrement dependency and
- * conflict counters, instructions enter an issue-candidate bitmap
- * exactly when every engine gate that is not re-evaluated per cycle
- * has cleared, and the per-cycle work is proportional to the
- * instructions that actually issue, not to the window size.
- * Provably-idle stall spans are fast-forwarded in closed form.
+ * Its issue loop is event-driven like the engine's: commits
+ * decrement dependency counters, instructions enter an issue-
+ * candidate bitmap exactly when every gate that is not re-evaluated
+ * per cycle has cleared, and the per-cycle work is proportional to
+ * the instructions that can act. Beyond the engine, the trace's
+ * scheduling skeleton — producer edges, same-instruction chains,
+ * memory conflicts — is config-independent, so it is prepared once
+ * per capture (ReplayPrep): memory ordering waits on precomputed
+ * conflict counters instead of comparing addresses. Provably-idle
+ * stall spans are fast-forwarded in closed form, which the engine,
+ * ticked every cycle by its ComputeUnit, does not do.
  *
  * When a swept parameter *could* change data-dependent control flow
  * or the capture regime, fastPathBlocker() reports why and the
@@ -381,9 +382,6 @@ class TraceReplayer
     bool memStallLoadBlocked = false;
     bool memStallStoreBlocked = false;
     bool retSeen = false;
-
-    /** Arena-freelist mirror (exact arenaHits/Misses parity). */
-    std::uint64_t freeCount = 0;
 
     // Cycle-domain SPM model (see scratchpad.cc for the original).
     struct SpmRequest

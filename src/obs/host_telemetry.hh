@@ -26,8 +26,8 @@
  *    sweep report can name every shared lock and its wait share.
  *
  *  - Allocation-pressure counters: DynInst freelist-arena hits vs
- *    misses (merged from engine stats) and a peak-RSS sample, per
- *    point and aggregated per sweep.
+ *    misses (noted by each engine at finish) and a peak-RSS sample,
+ *    per point and aggregated per sweep.
  *
  * Ownership rule: one HostTelemetry belongs to at most one SimContext
  * at a time, and is only mutated by the thread that context is bound

@@ -155,8 +155,6 @@ expectStatsEqual(const core::EngineStats &fast,
     SALAM_EXPECT_FIELD_EQ(otherOpsIssued);
     SALAM_EXPECT_FIELD_EQ(dynamicInstructions);
     SALAM_EXPECT_FIELD_EQ(committedInstructions);
-    SALAM_EXPECT_FIELD_EQ(arenaHits);
-    SALAM_EXPECT_FIELD_EQ(arenaMisses);
     SALAM_EXPECT_FIELD_EQ(cyclesWithLoadIssue);
     SALAM_EXPECT_FIELD_EQ(cyclesWithStoreIssue);
     SALAM_EXPECT_FIELD_EQ(cyclesWithFpIssue);
