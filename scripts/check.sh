@@ -230,8 +230,26 @@ salam_query="${perf_dir}/src/tools/salam-query"
     --store-out "${smoke_dir}/simrate_store" \
     >"${smoke_dir}/simrate.out"
 baseline_file="${repo_root}/BENCH_simrate.json"
+# The record is regenerated by scripts/bench_record.sh, never by
+# hand: it must rewrite only the kernels record and stamp it.
+cp "${baseline_file}" "${smoke_dir}/record_copy.json" 2>/dev/null || true
+"${repo_root}/scripts/bench_record.sh" "${perf_dir}" \
+    "${smoke_dir}/record_copy.json" >/dev/null
+python3 - "${baseline_file}" "${smoke_dir}/record_copy.json" <<'PYEOF'
+import json, os, sys
+fresh = json.load(open(sys.argv[2]))
+for k in fresh["kernels"]:
+    assert k["git_sha"] and k["build_type"] == "Release" and k["nproc"] > 0, k
+if os.path.exists(sys.argv[1]):
+    old = json.load(open(sys.argv[1]))
+    for key in set(old) | set(fresh):
+        if key != "kernels":
+            assert old.get(key) == fresh.get(key), \
+                f"bench_record.sh changed record {key!r}"
+print("bench_record.sh ok: kernels record stamped, others kept")
+PYEOF
 if [[ ! -f "${baseline_file}" ]]; then
-    cp "${smoke_dir}/simrate.json" "${baseline_file}"
+    "${repo_root}/scripts/bench_record.sh" "${perf_dir}"
     echo "no recorded baseline; wrote ${baseline_file}"
 else
     # >20% below the recorded baseline fails the build; wall-clock
