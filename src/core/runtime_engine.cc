@@ -208,14 +208,9 @@ RuntimeEngine::createDynInst(const StaticInstInfo &info)
 }
 
 void
-RuntimeEngine::reserveWindow(std::uint64_t seq)
+RuntimeEngine::growWindow(std::uint64_t needed)
 {
-    // Keep one spare word so that a scan over [windowFront, nextSeq)
-    // never meets two seqs sharing a candidate word.
-    std::uint64_t needed = seq + 1 - windowFront + 64;
     std::uint64_t slots = window.size();
-    if (needed <= slots)
-        return;
     while (slots < needed)
         slots *= 2;
     std::uint64_t mask = slots - 1;
@@ -618,7 +613,9 @@ RuntimeEngine::issueCompute(DynInst *di)
         di->commitCycle = cycleCount + latency;
         computeQueue.push_back(di);
         nextCommitDue = std::min(nextCommitDue, di->commitCycle);
-        ++fuInflight[static_cast<std::size_t>(di->staticInfo->fu)];
+        auto t = static_cast<std::size_t>(di->staticInfo->fu);
+        if (fuInflight[t]++ == 0)
+            fuInflightTypes |= 1u << t;
     }
 }
 
@@ -783,8 +780,10 @@ void
 RuntimeEngine::recordCycleStats()
 {
     // In-flight FU occupancy by type.
-    for (std::size_t t = 0; t < numFuTypes; ++t)
+    for (std::uint32_t m = fuInflightTypes; m != 0; m &= m - 1) {
+        auto t = static_cast<std::size_t>(std::countr_zero(m));
         engineStats.fuBusyCycleSum[t] += fuInflight[t];
+    }
 
     if (observer.memQueueOccupancy) {
         observer.memQueueOccupancy->sample(
@@ -1092,8 +1091,9 @@ RuntimeEngine::cycle()
         for (std::size_t i = 0; i < computeQueue.size();) {
             DynInst *op = computeQueue[i];
             if (op->commitCycle <= cycleCount) {
-                --fuInflight[static_cast<std::size_t>(
-                    op->staticInfo->fu)];
+                auto t = static_cast<std::size_t>(op->staticInfo->fu);
+                if (--fuInflight[t] == 0)
+                    fuInflightTypes &= ~(1u << t);
                 commit(op);
                 computeQueue[i] = computeQueue.back();
                 computeQueue.pop_back();

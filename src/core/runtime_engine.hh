@@ -470,8 +470,20 @@ class RuntimeEngine
     DynInst *atSeq(std::uint64_t seq) const
     { return window[seq & windowMask]; }
 
-    /** Make room in the window ring for sequence number @p seq. */
-    void reserveWindow(std::uint64_t seq);
+    /**
+     * Make room in the window ring for sequence number @p seq. One
+     * spare word keeps a scan over [windowFront, nextSeq) from ever
+     * meeting two seqs that share a candidate word.
+     */
+    void
+    reserveWindow(std::uint64_t seq)
+    {
+        if (seq + 1 - windowFront + 64 > window.size())
+            growWindow(seq + 1 - windowFront + 64);
+    }
+
+    /** Re-lay the ring and candidate bitmaps over >= @p slots. */
+    void growWindow(std::uint64_t slots);
 
     /**
      * Enter @p di into the issue-candidate set once its operands
@@ -601,6 +613,8 @@ class RuntimeEngine
     std::uint64_t nextCommitDue = never;
     /** computeQueue entries per FU type (occupancy statistics). */
     std::array<std::uint32_t, hw::numFuTypes> fuInflight{};
+    /** Bit per FU type with a nonzero fuInflight entry. */
+    std::uint32_t fuInflightTypes = 0;
 
     /**
      * Unresolved memory ops by seq, in memory order. Their fronts

@@ -567,7 +567,7 @@ TraceReplayer::commitNode(std::uint32_t seq, std::uint64_t cyc)
     // Wake readers: every reader imported before this commit bound a
     // live RAW edge to us (we were uncommitted then, and commit
     // happens once), so the decrement matches the engine's
-    // operandsReady flipping for exactly those instances. Readers
+    // pendingOperands decrement for exactly those instances. Readers
     // not yet imported bind no edge (they see a committed value).
     for (std::uint32_t e = pp.readerOffsets[seq];
          e < pp.readerOffsets[seq + 1]; ++e) {
