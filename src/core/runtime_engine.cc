@@ -985,8 +985,9 @@ RuntimeEngine::visitCandidate(DynInst *di)
     }
 
     if (f.kind == opLoad || f.kind == opStore) {
-        if (!di->addrKnown)
-            return; // pointer producer pending: stays a data wait
+        // The pointer committed and the fence lifted by now, so the
+        // address resolved at the latest at the start of this scan.
+        SALAM_ASSERT(di->addrKnown);
         bool is_load = f.kind == opLoad;
         // Unknown-address older stores block everything younger;
         // unknown older loads block younger stores. Candidates come
