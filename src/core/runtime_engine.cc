@@ -92,6 +92,7 @@ RuntimeEngine::RuntimeEngine(const StaticCdfg &cdfg,
             f.kind = opCompute;
             break;
         }
+        f.handOffGated = f.kind == opCompute && info.fu != FuType::None;
         if (isFloatingPointOp(inst->opcode()) ||
             info.fu == FuType::FpSpecial) {
             f.lane = laneFp;
@@ -365,8 +366,7 @@ RuntimeEngine::maybeCandidate(DynInst *di)
         candLoadBits[word] |= bit;
     } else if (f.kind == opStore) {
         candStoreBits[word] |= bit;
-    } else if (f.kind == opCompute &&
-               di->staticInfo->fu != FuType::None) {
+    } else if (f.handOffGated) {
         // fuAvailable rejects an instance whose previous instance
         // has not issued or still has unissued readers, whatever
         // the cycle; both conditions only clear (markIssued and
@@ -385,17 +385,25 @@ RuntimeEngine::maybeCandidate(DynInst *di)
 void
 RuntimeEngine::markIssued(DynInst *di)
 {
+    const StaticFacts &f = factsOf(*di);
     std::size_t word = (di->seq >> 6) & (windowMask >> 6);
     std::uint64_t keep = ~(1ull << (di->seq & 63));
     candBits[word] &= keep;
-    candLoadBits[word] &= keep;
-    candStoreBits[word] &= keep;
-    std::uint8_t limited = factsOf(*di).limitedFu;
-    if (limited != noLimitedFu)
-        candFuBits[limited][word] &= keep;
+    if (f.kind == opLoad)
+        candLoadBits[word] &= keep;
+    else if (f.kind == opStore)
+        candStoreBits[word] &= keep;
+    else if (f.limitedFu != noLimitedFu)
+        candFuBits[f.limitedFu][word] &= keep;
     --unissuedCount;
-    if (di->nextInstance != nullptr)
-        maybeCandidate(di->nextInstance);
+    offerHandOff(di->nextInstance);
+}
+
+void
+RuntimeEngine::offerHandOff(DynInst *next)
+{
+    if (pruneVisits && next != nullptr && factsOf(*next).handOffGated)
+        maybeCandidate(next);
 }
 
 void
@@ -409,10 +417,8 @@ RuntimeEngine::captureOperands(DynInst *di)
             SALAM_ASSERT(producer->unissuedReaders > 0);
             // The last reader draining the producer's result may
             // open its successor instance's FU hand-off.
-            if (--producer->unissuedReaders == 0 &&
-                producer->nextInstance != nullptr) {
-                maybeCandidate(producer->nextInstance);
-            }
+            if (--producer->unissuedReaders == 0)
+                offerHandOff(producer->nextInstance);
             di->producers[i] = nullptr;
             // Remember the latest-committing producer: it is the
             // critical data predecessor in the recorded CDFG.

@@ -416,6 +416,8 @@ class RuntimeEngine
         IssueLane lane = laneOther;
         /** Dense index among limited FU pools; noLimitedFu if none. */
         std::uint8_t limitedFu = noLimitedFu;
+        /** FU-bound compute op: issue waits for the FU hand-off. */
+        bool handOffGated = false;
     };
 
     /** One resolved, uncommitted memory reference. */
@@ -495,6 +497,12 @@ class RuntimeEngine
 
     /** Leave the candidate set and the reservation count at issue. */
     void markIssued(DynInst *di);
+
+    /**
+     * Re-offer @p next (may be null) once its predecessor issued or
+     * drained its readers, if its candidacy waits for the hand-off.
+     */
+    void offerHandOff(DynInst *next);
 
     /** Capture operand values (producers committed by now). */
     void captureOperands(DynInst *di);
