@@ -27,10 +27,8 @@ struct FullRun
 };
 
 FullRun
-runFullKernel(const kernels::Kernel &kernel,
-              const core::DeviceConfig &dev,
-              mem::ScratchpadConfig spm_cfg,
-              core::DynTrace *capture = nullptr)
+runFull(const kernels::Kernel &kernel, const core::DeviceConfig &dev,
+        mem::ScratchpadConfig spm_cfg, core::DynTrace *capture = nullptr)
 {
     // Fresh IR per run, like the benches: kernel IR construction is
     // deterministic, so static ids agree across builds.
@@ -62,263 +60,6 @@ runFullKernel(const kernels::Kernel &kernel,
     return out;
 }
 
-FullRun
-runFull(const core::DeviceConfig &dev,
-        const mem::ScratchpadConfig &spm_cfg,
-        core::DynTrace *capture = nullptr)
-{
-    return runFullKernel(*kernels::makeGemm(8, 2), dev, spm_cfg,
-                         capture);
-}
-
-/** Captured trace + replay IR, shared by every replay in the file. */
-struct Captured
-{
-    core::DynTrace trace;
-    std::shared_ptr<ir::Module> mod;
-    ir::Function *fn = nullptr;
-    drive::ReplayPrep prep;
-};
-
-/**
- * Capture regime mirroring captureTraceEntry(): wide ports so the
- * capture run is cheap, block-sequential import left at the replay
- * configs' (default) value — the one knob that must agree.
- */
-const Captured &
-captured()
-{
-    static Captured c = [] {
-        Captured out;
-        core::DeviceConfig cap;
-        cap.readPortsPerCycle = 64;
-        cap.writePortsPerCycle = 64;
-        cap.readQueueSize = 64;
-        cap.writeQueueSize = 64;
-        mem::ScratchpadConfig scfg = test::AccelSystem::defaultSpm();
-        scfg.readPorts = 64;
-        scfg.writePorts = 64;
-        runFull(cap, scfg, &out.trace);
-
-        auto kernel = kernels::makeGemm(8, 2);
-        out.mod = std::make_shared<ir::Module>("replay_ir");
-        ir::IRBuilder b(*out.mod);
-        out.fn = kernel->buildOptimized(b);
-        core::StaticCdfg cdfg(*out.fn, cap);
-        out.prep = drive::buildReplayPrep(cdfg, out.trace);
-        return out;
-    }();
-    return c;
-}
-
-drive::ReplayResult
-replayPoint(const core::DeviceConfig &dev,
-            const mem::ScratchpadConfig &spm_cfg)
-{
-    const Captured &c = captured();
-    core::StaticCdfg cdfg(*c.fn, dev);
-    drive::ReplaySpmConfig spm;
-    spm.rangeStart = test::spmBase;
-    spm.latencyCycles = spm_cfg.latencyCycles;
-    spm.readPorts = spm_cfg.readPorts;
-    spm.writePorts = spm_cfg.writePorts;
-    spm.banks = spm_cfg.banks;
-    spm.wordBytes = spm_cfg.wordBytes;
-    drive::TraceReplayer replayer(cdfg, dev, c.trace, spm, &c.prep);
-    return replayer.run();
-}
-
-/**
- * Field-by-field: the fast path promises the stats are
- * bit-identical, not merely close, so doubles compare exactly too.
- */
-void
-expectStatsEqual(const core::EngineStats &fast,
-                 const core::EngineStats &full)
-{
-#define SALAM_EXPECT_FIELD_EQ(f) EXPECT_EQ(fast.f, full.f) << #f
-    SALAM_EXPECT_FIELD_EQ(totalCycles);
-    SALAM_EXPECT_FIELD_EQ(newExecCycles);
-    SALAM_EXPECT_FIELD_EQ(stallCycles);
-    SALAM_EXPECT_FIELD_EQ(stallLoadOnly);
-    SALAM_EXPECT_FIELD_EQ(stallStoreOnly);
-    SALAM_EXPECT_FIELD_EQ(stallComputeOnly);
-    SALAM_EXPECT_FIELD_EQ(stallLoadCompute);
-    SALAM_EXPECT_FIELD_EQ(stallStoreCompute);
-    SALAM_EXPECT_FIELD_EQ(stallLoadStore);
-    SALAM_EXPECT_FIELD_EQ(stallLoadStoreCompute);
-    SALAM_EXPECT_FIELD_EQ(stallEmpty);
-    SALAM_EXPECT_FIELD_EQ(loadsIssued);
-    SALAM_EXPECT_FIELD_EQ(storesIssued);
-    SALAM_EXPECT_FIELD_EQ(fpOpsIssued);
-    SALAM_EXPECT_FIELD_EQ(intOpsIssued);
-    SALAM_EXPECT_FIELD_EQ(otherOpsIssued);
-    SALAM_EXPECT_FIELD_EQ(dynamicInstructions);
-    SALAM_EXPECT_FIELD_EQ(committedInstructions);
-    SALAM_EXPECT_FIELD_EQ(cyclesWithLoadIssue);
-    SALAM_EXPECT_FIELD_EQ(cyclesWithStoreIssue);
-    SALAM_EXPECT_FIELD_EQ(cyclesWithFpIssue);
-    SALAM_EXPECT_FIELD_EQ(cyclesWithLoadAndStoreIssue);
-    SALAM_EXPECT_FIELD_EQ(cyclesWithLoadAndFpIssue);
-    SALAM_EXPECT_FIELD_EQ(fuEnergyPj);
-    SALAM_EXPECT_FIELD_EQ(registerReadEnergyPj);
-    SALAM_EXPECT_FIELD_EQ(registerWriteEnergyPj);
-#undef SALAM_EXPECT_FIELD_EQ
-    for (std::size_t t = 0; t < hw::numFuTypes; ++t) {
-        EXPECT_EQ(fast.fuBusyCycleSum[t], full.fuBusyCycleSum[t])
-            << "fuBusyCycleSum[" << t << "]";
-    }
-}
-
-/** One replay configuration of the equivalence grid. */
-struct PointConfig
-{
-    const char *name;
-    unsigned ports;      // engine issue ports + SPM ports
-    unsigned fpLimit;    // 0 = dedicated FUs
-    unsigned spmLatency;
-    unsigned banks;
-};
-
-void
-toConfigs(const PointConfig &p, core::DeviceConfig &dev,
-          mem::ScratchpadConfig &spm)
-{
-    dev = core::DeviceConfig{};
-    dev.readPortsPerCycle = p.ports;
-    dev.writePortsPerCycle = p.ports;
-    if (p.fpLimit != 0) {
-        dev.setFuLimit(hw::FuType::FpAddSubDouble, p.fpLimit);
-        dev.setFuLimit(hw::FuType::FpMultiplierDouble, p.fpLimit);
-    }
-    spm = test::AccelSystem::defaultSpm();
-    spm.readPorts = p.ports;
-    spm.writePorts = p.ports;
-    spm.latencyCycles = p.spmLatency;
-    spm.banks = p.banks;
-}
-
-} // namespace
-
-TEST(TraceReplay, PrepBuildsCleanly)
-{
-    const Captured &c = captured();
-    ASSERT_FALSE(c.trace.empty());
-    EXPECT_EQ(c.prep.error, "");
-}
-
-/**
- * The tentpole guarantee: replaying the captured trace under a
- * different FU/port/latency/bank configuration produces the exact
- * EngineStats a full simulation of that configuration produces.
- */
-TEST(TraceReplay, FastMatchesFullAcrossConfigs)
-{
-    const PointConfig grid[] = {
-        {"default", 2, 0, 1, 1},
-        {"narrow_ports", 1, 0, 1, 1},
-        {"fu_limited", 2, 1, 1, 1},
-        {"slow_banked_spm", 4, 2, 4, 2},
-    };
-    for (const PointConfig &p : grid) {
-        SCOPED_TRACE(p.name);
-        core::DeviceConfig dev;
-        mem::ScratchpadConfig spm;
-        toConfigs(p, dev, spm);
-
-        FullRun full = runFull(dev, spm);
-        drive::ReplayResult fast = replayPoint(dev, spm);
-        ASSERT_TRUE(fast.ok) << fast.error;
-        expectStatsEqual(fast.stats, full.stats);
-        EXPECT_EQ(fast.spmReads, full.spmReads);
-        EXPECT_EQ(fast.spmWrites, full.spmWrites);
-    }
-}
-
-/** The grid must actually exercise different schedules. */
-TEST(TraceReplay, ConfigsChangeTheSchedule)
-{
-    core::DeviceConfig dev;
-    mem::ScratchpadConfig spm;
-    toConfigs({"narrow", 1, 1, 4, 1}, dev, spm);
-    drive::ReplayResult narrow = replayPoint(dev, spm);
-    ASSERT_TRUE(narrow.ok) << narrow.error;
-
-    toConfigs({"wide", 4, 0, 1, 1}, dev, spm);
-    drive::ReplayResult wide = replayPoint(dev, spm);
-    ASSERT_TRUE(wide.ok) << wide.error;
-
-    EXPECT_LT(wide.stats.totalCycles, narrow.stats.totalCycles);
-}
-
-/**
- * Directed fallback: every condition that makes trace reuse unsound
- * must be reported by fastPathBlocker(), and a sound configuration
- * must not be.
- */
-TEST(TraceReplay, FallbackBlockers)
-{
-    core::DeviceConfig dev;
-
-    core::DynTrace empty;
-    EXPECT_NE(drive::fastPathBlocker(empty, dev, false), "");
-
-    const Captured &c = captured();
-    EXPECT_EQ(drive::fastPathBlocker(c.trace, dev, false), "");
-
-    // Fault injection makes outcomes schedule-dependent.
-    EXPECT_NE(drive::fastPathBlocker(c.trace, dev, true), "");
-
-    // Block-sequential import changes the capture regime itself.
-    core::DeviceConfig seq = dev;
-    seq.blockSequentialImport = !c.trace.capturedBlockSequential;
-    EXPECT_NE(drive::fastPathBlocker(c.trace, seq, false), "");
-
-    // A modeled interconnect in the memory path: the replay models
-    // a private scratchpad only, so fabric arbitration/credit
-    // timing would be silently dropped.
-    EXPECT_NE(drive::fastPathBlocker(c.trace, dev, false, true), "");
-    EXPECT_EQ(drive::fastPathBlocker(c.trace, dev, false, false), "");
-}
-
-/** A trace that does not match the static CDFG is rejected, not
- * replayed wrong. */
-TEST(TraceReplay, MismatchedTraceIsRejected)
-{
-    const Captured &c = captured();
-    core::DynTrace corrupt = c.trace;
-    corrupt.insts[0].staticId = 0xFFFFFFu;
-
-    core::DeviceConfig dev;
-    core::StaticCdfg cdfg(*c.fn, dev);
-    drive::ReplayPrep prep = drive::buildReplayPrep(cdfg, corrupt);
-    EXPECT_NE(prep.error, "");
-
-    drive::ReplaySpmConfig spm;
-    spm.rangeStart = test::spmBase;
-    drive::TraceReplayer replayer(cdfg, dev, corrupt, spm);
-    drive::ReplayResult res = replayer.run();
-    EXPECT_FALSE(res.ok);
-    EXPECT_NE(res.error, "");
-}
-
-/** An empty trace cannot be replayed. */
-TEST(TraceReplay, EmptyTraceFailsGracefully)
-{
-    const Captured &c = captured();
-    core::DynTrace empty;
-    core::DeviceConfig dev;
-    core::StaticCdfg cdfg(*c.fn, dev);
-    drive::ReplaySpmConfig spm;
-    spm.rangeStart = test::spmBase;
-    drive::TraceReplayer replayer(cdfg, dev, empty, spm);
-    drive::ReplayResult res = replayer.run();
-    EXPECT_FALSE(res.ok);
-}
-
-namespace
-{
-
 /** A captured kernel: trace, replay IR and shared skeleton. */
 struct KernelCapture
 {
@@ -346,7 +87,7 @@ captureKernel(std::unique_ptr<kernels::Kernel> kernel,
     cap.readQueueSize = cap.writeQueueSize = 64;
     mem::ScratchpadConfig scfg = test::AccelSystem::defaultSpm();
     scfg.readPorts = scfg.writePorts = 64;
-    runFullKernel(*c->kernel, cap, scfg, &c->trace);
+    runFull(*c->kernel, cap, scfg, &c->trace);
 
     c->mod = std::make_unique<ir::Module>("replay_ir");
     ir::IRBuilder b(*c->mod);
@@ -372,9 +113,20 @@ replayCaptured(const KernelCapture &c, const core::DeviceConfig &dev,
     return replayer.run();
 }
 
+/** The GEMM capture shared by the fixed-grid tests below. */
+const KernelCapture &
+captured()
+{
+    static const std::unique_ptr<KernelCapture> c =
+        captureKernel(kernels::makeGemm(8, 2), false);
+    return *c;
+}
+
 /**
- * First field where @p fast and @p full differ, as
- * "name: fast=X full=Y", or "" when every field matches.
+ * Field-by-field: the fast path promises the stats are bit-identical,
+ * not merely close, so doubles compare exactly too. Returns the first
+ * field where @p fast and @p full differ, as "name: fast=X full=Y",
+ * or "" when every field matches.
  */
 std::string
 firstDifference(const drive::ReplayResult &fast, const FullRun &full)
@@ -425,6 +177,153 @@ firstDifference(const drive::ReplayResult &fast, const FullRun &full)
 #undef SALAM_DIFF_FIELD
     return {};
 }
+
+/** One replay configuration of the equivalence grid. */
+struct PointConfig
+{
+    const char *name;
+    unsigned ports;      // engine issue ports + SPM ports
+    unsigned fpLimit;    // 0 = dedicated FUs
+    unsigned spmLatency;
+    unsigned banks;
+};
+
+void
+toConfigs(const PointConfig &p, core::DeviceConfig &dev,
+          mem::ScratchpadConfig &spm)
+{
+    dev = core::DeviceConfig{};
+    dev.readPortsPerCycle = p.ports;
+    dev.writePortsPerCycle = p.ports;
+    if (p.fpLimit != 0) {
+        dev.setFuLimit(hw::FuType::FpAddSubDouble, p.fpLimit);
+        dev.setFuLimit(hw::FuType::FpMultiplierDouble, p.fpLimit);
+    }
+    spm = test::AccelSystem::defaultSpm();
+    spm.readPorts = p.ports;
+    spm.writePorts = p.ports;
+    spm.latencyCycles = p.spmLatency;
+    spm.banks = p.banks;
+}
+
+} // namespace
+
+TEST(TraceReplay, PrepBuildsCleanly)
+{
+    const KernelCapture &c = captured();
+    ASSERT_FALSE(c.trace.empty());
+    EXPECT_EQ(c.prep.error, "");
+}
+
+/**
+ * The tentpole guarantee: replaying the captured trace under a
+ * different FU/port/latency/bank configuration produces the exact
+ * EngineStats a full simulation of that configuration produces.
+ */
+TEST(TraceReplay, FastMatchesFullAcrossConfigs)
+{
+    const PointConfig grid[] = {
+        {"default", 2, 0, 1, 1},
+        {"narrow_ports", 1, 0, 1, 1},
+        {"fu_limited", 2, 1, 1, 1},
+        {"slow_banked_spm", 4, 2, 4, 2},
+    };
+    for (const PointConfig &p : grid) {
+        SCOPED_TRACE(p.name);
+        core::DeviceConfig dev;
+        mem::ScratchpadConfig spm;
+        toConfigs(p, dev, spm);
+
+        FullRun full = runFull(*captured().kernel, dev, spm);
+        drive::ReplayResult fast = replayCaptured(captured(), dev, spm);
+        ASSERT_TRUE(fast.ok) << fast.error;
+        EXPECT_EQ(firstDifference(fast, full), "");
+    }
+}
+
+/** The grid must actually exercise different schedules. */
+TEST(TraceReplay, ConfigsChangeTheSchedule)
+{
+    core::DeviceConfig dev;
+    mem::ScratchpadConfig spm;
+    toConfigs({"narrow", 1, 1, 4, 1}, dev, spm);
+    drive::ReplayResult narrow = replayCaptured(captured(), dev, spm);
+    ASSERT_TRUE(narrow.ok) << narrow.error;
+
+    toConfigs({"wide", 4, 0, 1, 1}, dev, spm);
+    drive::ReplayResult wide = replayCaptured(captured(), dev, spm);
+    ASSERT_TRUE(wide.ok) << wide.error;
+
+    EXPECT_LT(wide.stats.totalCycles, narrow.stats.totalCycles);
+}
+
+/**
+ * Directed fallback: every condition that makes trace reuse unsound
+ * must be reported by fastPathBlocker(), and a sound configuration
+ * must not be.
+ */
+TEST(TraceReplay, FallbackBlockers)
+{
+    core::DeviceConfig dev;
+
+    core::DynTrace empty;
+    EXPECT_NE(drive::fastPathBlocker(empty, dev, false), "");
+
+    const KernelCapture &c = captured();
+    EXPECT_EQ(drive::fastPathBlocker(c.trace, dev, false), "");
+
+    // Fault injection makes outcomes schedule-dependent.
+    EXPECT_NE(drive::fastPathBlocker(c.trace, dev, true), "");
+
+    // Block-sequential import changes the capture regime itself.
+    core::DeviceConfig seq = dev;
+    seq.blockSequentialImport = !c.trace.capturedBlockSequential;
+    EXPECT_NE(drive::fastPathBlocker(c.trace, seq, false), "");
+
+    // A modeled interconnect in the memory path: the replay models
+    // a private scratchpad only, so fabric arbitration/credit
+    // timing would be silently dropped.
+    EXPECT_NE(drive::fastPathBlocker(c.trace, dev, false, true), "");
+    EXPECT_EQ(drive::fastPathBlocker(c.trace, dev, false, false), "");
+}
+
+/** A trace that does not match the static CDFG is rejected, not
+ * replayed wrong. */
+TEST(TraceReplay, MismatchedTraceIsRejected)
+{
+    const KernelCapture &c = captured();
+    core::DynTrace corrupt = c.trace;
+    corrupt.insts[0].staticId = 0xFFFFFFu;
+
+    core::DeviceConfig dev;
+    core::StaticCdfg cdfg(*c.fn, dev);
+    drive::ReplayPrep prep = drive::buildReplayPrep(cdfg, corrupt);
+    EXPECT_NE(prep.error, "");
+
+    drive::ReplaySpmConfig spm;
+    spm.rangeStart = test::spmBase;
+    drive::TraceReplayer replayer(cdfg, dev, corrupt, spm);
+    drive::ReplayResult res = replayer.run();
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error, "");
+}
+
+/** An empty trace cannot be replayed. */
+TEST(TraceReplay, EmptyTraceFailsGracefully)
+{
+    const KernelCapture &c = captured();
+    core::DynTrace empty;
+    core::DeviceConfig dev;
+    core::StaticCdfg cdfg(*c.fn, dev);
+    drive::ReplaySpmConfig spm;
+    spm.rangeStart = test::spmBase;
+    drive::TraceReplayer replayer(cdfg, dev, empty, spm);
+    drive::ReplayResult res = replayer.run();
+    EXPECT_FALSE(res.ok);
+}
+
+namespace
+{
 
 /** Every kernels::makeKernel name, plus guarded spmv. */
 const char *const gateKernels[] = {
@@ -545,7 +444,7 @@ TEST_P(ReplayIdentityGate, FastMatchesFullAtSeededConfigs)
         std::mt19937_64 rng(seed);
         for (unsigned i = 0; i < gatePointsPerRegime; ++i) {
             GatePoint p = drawGatePoint(rng, block_sequential);
-            FullRun full = runFullKernel(*c->kernel, p.dev, p.spm);
+            FullRun full = runFull(*c->kernel, p.dev, p.spm);
             drive::ReplayResult fast = replayCaptured(*c, p.dev, p.spm);
             ASSERT_TRUE(fast.ok) << name << " seed=" << seed
                                  << " point=" << i << " " << p.text
@@ -585,7 +484,7 @@ TEST(TraceReplay, BranchHoldsItsSlotDuringImportMdKnn)
     spm.readPorts = spm.writePorts = 8;
     spm.latencyCycles = 3;
     spm.banks = 2;
-    FullRun full = runFullKernel(*c->kernel, dev, spm);
+    FullRun full = runFull(*c->kernel, dev, spm);
     drive::ReplayResult fast = replayCaptured(*c, dev, spm);
     ASSERT_TRUE(fast.ok) << fast.error;
     EXPECT_EQ(firstDifference(fast, full), "");
@@ -603,7 +502,7 @@ TEST(TraceReplay, BranchHoldsItsSlotDuringImportStencil3d)
     spm.readPorts = spm.writePorts = 8;
     spm.latencyCycles = 3;
     spm.banks = 1;
-    FullRun full = runFullKernel(*c->kernel, dev, spm);
+    FullRun full = runFull(*c->kernel, dev, spm);
     drive::ReplayResult fast = replayCaptured(*c, dev, spm);
     ASSERT_TRUE(fast.ok) << fast.error;
     EXPECT_EQ(firstDifference(fast, full), "");
