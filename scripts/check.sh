@@ -489,10 +489,12 @@ PYEOF
 # Deliberately-starved deadline: every point must classify as
 # "timeout" without stalling the pool or aborting the process, and
 # --point-retries must leave one kind="attempt" record per attempt
-# for salam-query attempts to aggregate.
+# for salam-query attempts to aggregate. The deadline sits well below
+# the fastest fig13 point (about 35 ms on a fast host), so no point
+# can finish in time.
 got=0
 timeout 120 "${perf_dir}/bench/fig13_gemm_pareto" --sweep-threads 4 \
-    --point-timeout 0.05 --point-retries 1 \
+    --point-timeout 0.005 --point-retries 1 \
     --store-out "${rb_dir}/timeouts" \
     --dump-out "${rb_dir}/timeout_dump.json" \
     >"${rb_dir}/timeouts.out" 2>&1 || got=$?
