@@ -1076,6 +1076,22 @@ ReplayResult
 TraceReplayer::run()
 {
     ReplayResult result;
+    // The same configs the Scratchpad constructor refuses: no port
+    // would ever service a request, and 0 banks or 0-byte words
+    // divide by zero.
+    if (spmCfg.readPorts == 0 || spmCfg.writePorts == 0) {
+        result.error = "scratchpad needs at least one port";
+        return result;
+    }
+    if (spmCfg.banks == 0) {
+        result.error = "scratchpad needs at least one bank";
+        return result;
+    }
+    if (spmCfg.wordBytes == 0) {
+        result.error =
+            "scratchpad interleave word must be at least one byte";
+        return result;
+    }
     if (trace.empty()) {
         result.error = "empty trace";
         return result;

@@ -183,7 +183,7 @@ AxiLikeBus::handleRequest(PacketPtr pkt, unsigned upstream_index)
                 "%s addr=0x%llx up=%u -> down=%u beats=%u",
                 ch.label, (unsigned long long)pkt->addr(),
                 upstream_index, target, pkt->burstBeats);
-    pkt->pushSenderState(std::make_unique<AxiState>(upstream_index));
+    pkt->pushRoute(upstream_index);
     ch.pending[upstream_index].push_back(Routed{
         pkt, target, clockEdge(Cycles(cfg.forwardLatency))});
     if (!ch.event.scheduled()) {
@@ -197,14 +197,13 @@ AxiLikeBus::handleRequest(PacketPtr pkt, unsigned upstream_index)
 bool
 AxiLikeBus::handleResponse(PacketPtr pkt)
 {
-    auto state = pkt->popSenderState();
-    auto *axi_state = dynamic_cast<AxiState *>(state.get());
-    SALAM_ASSERT(axi_state != nullptr);
+    unsigned up = pkt->popRoute();
+    SALAM_ASSERT(up < upstream.size());
     // Read data returns on R (multi-beat); write acks on B (single
     // beat regardless of the request's burst length).
     ResponseChannel &ch = pkt->isRead() ? readResp : writeResp;
-    ch.pending.push_back(Routed{pkt, axi_state->upstream,
-                                clockEdge(Cycles(cfg.responseLatency))});
+    ch.pending.push_back(
+        Routed{pkt, up, clockEdge(Cycles(cfg.responseLatency))});
     if (!ch.event.scheduled())
         schedule(ch.event,
                  std::max(ch.pending.front().readyAt, curTick()));
@@ -355,8 +354,8 @@ AxiLikeBus::stuckReason() const
     auto blocked_requests = [this](const RequestChannel &ch) {
         std::size_t n = 0;
         for (const auto &q : ch.pending) {
-            for (const Routed &rp : q) {
-                if (rp.readyAt <= curTick())
+            for (std::size_t i = 0; i < q.size(); ++i) {
+                if (q[i].readyAt <= curTick())
                     ++n;
             }
         }

@@ -33,12 +33,12 @@
 #ifndef SALAM_MEM_AXI_BUS_HH
 #define SALAM_MEM_AXI_BUS_HH
 
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "interconnect.hh"
 #include "port.hh"
+#include "ring_queue.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 
@@ -108,7 +108,7 @@ class AxiLikeBus : public ClockedObject, public Interconnect
         DownstreamPort(AxiLikeBus &owner, unsigned index)
             : RequestPort(owner.name() + ".down" +
                           std::to_string(index)),
-              owner(owner), index(index)
+              owner(owner)
         {}
 
         bool
@@ -121,7 +121,6 @@ class AxiLikeBus : public ClockedObject, public Interconnect
 
       private:
         AxiLikeBus &owner;
-        unsigned index;
     };
 
     struct Routed
@@ -131,18 +130,11 @@ class AxiLikeBus : public ClockedObject, public Interconnect
         Tick readyAt;
     };
 
-    struct AxiState : SenderState
-    {
-        explicit AxiState(unsigned upstream) : upstream(upstream) {}
-
-        unsigned upstream;
-    };
-
     /** One request channel (AR or AW/W): per-requester queues. */
     struct RequestChannel
     {
         const char *label;
-        std::vector<std::deque<Routed>> pending;
+        std::vector<RingQueue<Routed>> pending;
         unsigned rrNext = 0;
         Tick busyUntil = 0;
         std::uint64_t granted = 0;
@@ -167,7 +159,7 @@ class AxiLikeBus : public ClockedObject, public Interconnect
     struct ResponseChannel
     {
         const char *label;
-        std::deque<Routed> pending;
+        RingQueue<Routed> pending;
         Tick busyUntil = 0;
         std::uint64_t busyCycles = 0;
         EventFunctionWrapper event;

@@ -12,12 +12,12 @@
 #define SALAM_MEM_CACHE_HH
 
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <map>
 #include <vector>
 
 #include "port.hh"
+#include "ring_queue.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 
@@ -163,8 +163,8 @@ class Cache : public ClockedObject
     CpuSidePort cpuPort;
     MemSidePort memPort;
     std::map<std::uint64_t, Mshr> mshrs;
-    std::deque<PacketPtr> memSideQueue;
-    std::deque<PendingResponse> responseQueue;
+    RingQueue<PacketPtr> memSideQueue;
+    RingQueue<PendingResponse> responseQueue;
     EventFunctionWrapper responseEvent;
     std::uint64_t useCounter = 0;
 

@@ -135,7 +135,7 @@ Crossbar::handleRequest(PacketPtr pkt, unsigned upstream_index)
     SALAM_TRACE(Crossbar, "route addr=0x%llx up=%u -> down=%u",
                 (unsigned long long)pkt->addr(), upstream_index,
                 target);
-    pkt->pushSenderState(std::make_unique<XbarState>(upstream_index));
+    pkt->pushRoute(upstream_index);
     requestQueue.push_back(RoutedPacket{
         pkt, target, clockEdge(Cycles(cfg.forwardLatency))});
     // The front's readyAt can be in the past when it sat blocked
@@ -147,15 +147,12 @@ Crossbar::handleRequest(PacketPtr pkt, unsigned upstream_index)
 }
 
 bool
-Crossbar::handleResponse(PacketPtr pkt, unsigned downstream_index)
+Crossbar::handleResponse(PacketPtr pkt)
 {
-    (void)downstream_index;
-    auto state = pkt->popSenderState();
-    auto *xbar_state = dynamic_cast<XbarState *>(state.get());
-    SALAM_ASSERT(xbar_state != nullptr);
+    unsigned up = pkt->popRoute();
+    SALAM_ASSERT(up < upstream.size());
     responseQueue.push_back(RoutedPacket{
-        pkt, xbar_state->upstream,
-        clockEdge(Cycles(cfg.responseLatency))});
+        pkt, up, clockEdge(Cycles(cfg.responseLatency))});
     if (!responseEvent.scheduled())
         schedule(responseEvent,
                  std::max(responseQueue.front().readyAt, curTick()));
@@ -208,9 +205,10 @@ Crossbar::dumpDiagnostics(obs::JsonBuilder &json) const
         json.value(static_cast<std::uint64_t>(count));
     json.endArray();
     auto emit = [&json](const char *key,
-                        const std::deque<RoutedPacket> &q) {
+                        const RingQueue<RoutedPacket> &q) {
         json.beginArray(key);
-        for (const RoutedPacket &rp : q) {
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            const RoutedPacket &rp = q[i];
             json.beginObject()
                 .field("addr", rp.pkt->addr())
                 .field("size", std::uint64_t(rp.pkt->size()))

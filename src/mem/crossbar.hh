@@ -7,18 +7,18 @@
  * DMA, peer MMRs) and the global crossbar (clusters, DRAM). Requests
  * are routed by address range with a configurable forwarding latency
  * and an optional per-cycle throughput limit; responses are routed
- * back to the originating requester via packet sender state.
+ * back to the originating requester via the packet's route stack.
  */
 
 #ifndef SALAM_MEM_CROSSBAR_HH
 #define SALAM_MEM_CROSSBAR_HH
 
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "interconnect.hh"
 #include "port.hh"
+#include "ring_queue.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 
@@ -115,20 +115,19 @@ class Crossbar : public ClockedObject, public Interconnect
         DownstreamPort(Crossbar &owner, unsigned index)
             : RequestPort(owner.name() + ".down" +
                           std::to_string(index)),
-              owner(owner), index(index)
+              owner(owner)
         {}
 
         bool
         recvTimingResp(PacketPtr pkt) override
         {
-            return owner.handleResponse(pkt, index);
+            return owner.handleResponse(pkt);
         }
 
         void recvReqRetry() override { owner.pumpRequests(); }
 
       private:
         Crossbar &owner;
-        unsigned index;
     };
 
     struct RoutedPacket
@@ -138,16 +137,9 @@ class Crossbar : public ClockedObject, public Interconnect
         Tick readyAt;
     };
 
-    struct XbarState : SenderState
-    {
-        explicit XbarState(unsigned upstream) : upstream(upstream) {}
-
-        unsigned upstream;
-    };
-
     bool handleRequest(PacketPtr pkt, unsigned upstream_index);
 
-    bool handleResponse(PacketPtr pkt, unsigned downstream_index);
+    bool handleResponse(PacketPtr pkt);
 
     /** Free one credit for @p upstream_index and wake it if blocked. */
     void releaseCredit(unsigned upstream_index);
@@ -163,8 +155,8 @@ class Crossbar : public ClockedObject, public Interconnect
     std::vector<std::unique_ptr<DownstreamPort>> downstream;
     std::vector<AddrRange> ranges;
     int defaultRoute = -1;
-    std::deque<RoutedPacket> requestQueue;
-    std::deque<RoutedPacket> responseQueue;
+    RingQueue<RoutedPacket> requestQueue;
+    RingQueue<RoutedPacket> responseQueue;
     EventFunctionWrapper requestEvent;
     EventFunctionWrapper responseEvent;
     Tick lastRequestCycle = maxTick;

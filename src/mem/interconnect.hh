@@ -98,8 +98,9 @@ struct InterconnectConfig
 /**
  * The fabric interface system construction is written against.
  * Implementations (Crossbar, AxiLikeBus) route requests by address
- * range and return responses to the originating requester via packet
- * sender state; overlapping device ranges are fatal at connect time.
+ * range and return responses to the originating requester via the
+ * packet's route stack; overlapping device ranges are fatal at
+ * connect time.
  */
 class Interconnect
 {

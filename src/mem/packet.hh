@@ -3,17 +3,22 @@
  * Packet: the unit of communication on memory ports.
  *
  * Modeled on gem5's Packet: a command, an address/size, a data
- * buffer, and a stack of sender states that interconnect layers push
- * on the way down and pop on the way back up to route responses.
+ * buffer, and a route stack that interconnect layers push on the way
+ * down and pop on the way back up to route responses.
+ *
+ * Every simulated access allocates one, so a packet costs no heap
+ * traffic once warm: word-sized payloads live inline, the route
+ * stack is a fixed array, and Packet::operator new/delete recycle
+ * packets through a per-thread freelist (packet.cc).
  */
 
 #ifndef SALAM_MEM_PACKET_HH
 #define SALAM_MEM_PACKET_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <vector>
 
 #include "sim/logging.hh"
 
@@ -40,12 +45,6 @@ isRead(MemCmd cmd)
 {
     return cmd == MemCmd::ReadReq || cmd == MemCmd::ReadResp;
 }
-
-/** Base class for per-hop routing state carried by a packet. */
-struct SenderState
-{
-    virtual ~SenderState() = default;
-};
 
 /**
  * Service annotations, set by memory components while a request is
@@ -80,12 +79,33 @@ enum ServiceFlags : unsigned
 class Packet
 {
   public:
+    /**
+     * Payload bytes stored inside the packet. Accelerator loads and
+     * stores and MMIO accesses are at most a word; larger payloads
+     * (DMA chunks, cache blocks) go to the heap.
+     */
+    static constexpr unsigned inlineBytes = 8;
+
+    /** Interconnect hops a request can cross (see pushRoute). */
+    static constexpr unsigned maxRouteDepth = 8;
+
     Packet(MemCmd cmd, std::uint64_t addr, unsigned size)
         : _cmd(cmd), _addr(addr), _size(size)
     {
-        if (mem::isRead(cmd) || cmd == MemCmd::WriteReq)
-            _data.resize(size);
+        if (mem::isRead(cmd) || cmd == MemCmd::WriteReq) {
+            _dataBytes = size;
+            if (size > inlineBytes)
+                heapData = std::make_unique<std::uint8_t[]>(size);
+        }
     }
+
+    Packet(const Packet &) = delete;
+    Packet &operator=(const Packet &) = delete;
+
+    /** Packets come from, and return to, a per-thread freelist. */
+    static void *operator new(std::size_t bytes);
+
+    static void operator delete(void *ptr) noexcept;
 
     MemCmd cmd() const { return _cmd; }
 
@@ -121,46 +141,59 @@ class Packet
     {
         makeResponse();
         error = true;
-        if (!_data.empty())
-            std::memset(_data.data(), 0, _data.size());
+        std::memset(data(), 0, _dataBytes);
     }
 
-    std::uint8_t *data() { return _data.data(); }
+    std::uint8_t *
+    data()
+    {
+        return heapData ? heapData.get() : inlineData;
+    }
 
-    const std::uint8_t *data() const { return _data.data(); }
+    const std::uint8_t *
+    data() const
+    {
+        return heapData ? heapData.get() : inlineData;
+    }
 
     void
     setData(const void *src, unsigned bytes)
     {
-        SALAM_ASSERT(bytes <= _size);
-        std::memcpy(_data.data(), src, bytes);
+        SALAM_ASSERT(bytes <= _dataBytes);
+        std::memcpy(data(), src, bytes);
     }
 
     void
     copyData(void *dst, unsigned bytes) const
     {
-        SALAM_ASSERT(bytes <= _size);
-        std::memcpy(dst, _data.data(), bytes);
+        SALAM_ASSERT(bytes <= _dataBytes);
+        std::memcpy(dst, data(), bytes);
     }
 
-    /** Push routing state (interconnect request path). */
+    /**
+     * Record the upstream port a fabric must return the response
+     * through (interconnect request path).
+     */
     void
-    pushSenderState(std::unique_ptr<SenderState> state)
+    pushRoute(unsigned upstream)
     {
-        senderStack.push_back(std::move(state));
+        if (routeDepth == maxRouteDepth)
+            panic("packet for 0x%llx crossed more than %u fabrics",
+                  static_cast<unsigned long long>(_addr),
+                  maxRouteDepth);
+        SALAM_ASSERT(upstream <= UINT16_MAX);
+        routeStack[routeDepth++] = static_cast<std::uint16_t>(upstream);
     }
 
-    /** Pop routing state (interconnect response path). */
-    std::unique_ptr<SenderState>
-    popSenderState()
+    /** Pop the innermost fabric's upstream port (response path). */
+    unsigned
+    popRoute()
     {
-        SALAM_ASSERT(!senderStack.empty());
-        auto state = std::move(senderStack.back());
-        senderStack.pop_back();
-        return state;
+        SALAM_ASSERT(routeDepth > 0);
+        return routeStack[--routeDepth];
     }
 
-    bool hasSenderState() const { return !senderStack.empty(); }
+    bool hasRoute() const { return routeDepth > 0; }
 
     /**
      * Record the burst shape a finite-width data channel gave this
@@ -205,8 +238,12 @@ class Packet
     MemCmd _cmd;
     std::uint64_t _addr;
     unsigned _size;
-    std::vector<std::uint8_t> _data;
-    std::vector<std::unique_ptr<SenderState>> senderStack;
+    /** Payload bytes (0 for a response created without data). */
+    unsigned _dataBytes = 0;
+    unsigned routeDepth = 0;
+    std::uint16_t routeStack[maxRouteDepth];
+    std::uint8_t inlineData[inlineBytes] = {};
+    std::unique_ptr<std::uint8_t[]> heapData;
 };
 
 using PacketPtr = Packet *;

@@ -1,7 +1,6 @@
 #include "scratchpad.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "inject/fault_injector.hh"
 
@@ -13,6 +12,7 @@ Scratchpad::Scratchpad(Simulation &sim, std::string name,
                        const ScratchpadConfig &config)
     : ClockedObject(sim, std::move(name), clock_period), cfg(config),
       store(config.range.size(), 0),
+      busyBanks((config.banks + 63) / 64, 0),
       serviceEvent([this] { serviceCycle(); },
                    this->name() + ".service", Event::defaultPri,
                    obs::HostPhase::MemoryModel),
@@ -26,6 +26,12 @@ Scratchpad::Scratchpad(Simulation &sim, std::string name,
     if (cfg.numPorts == 0 || cfg.readPorts == 0 || cfg.writePorts == 0)
         fatal("%s: scratchpad needs at least one port",
               this->name().c_str());
+    if (cfg.banks == 0)
+        fatal("%s: scratchpad needs at least one bank",
+              this->name().c_str());
+    if (cfg.wordBytes == 0)
+        fatal("%s: scratchpad interleave word must be at least one "
+              "byte", this->name().c_str());
     for (unsigned i = 0; i < cfg.numPorts; ++i)
         ports.push_back(std::make_unique<SpmPort>(*this, i));
 }
@@ -162,19 +168,23 @@ Scratchpad::serviceCycle()
     }
     unsigned reads_left = cfg.readPorts;
     unsigned writes_left = cfg.writePorts;
-    std::set<unsigned> busy_banks;
+    std::fill(busyBanks.begin(), busyBanks.end(), 0);
 
     Tick ready = clockEdge(Cycles(cfg.latencyCycles));
     // In-order service: scan the queue, issuing accesses that fit
     // this cycle's port and bank budget. Accesses blocked by a busy
     // bank do not block younger accesses to other banks (banked SRAM
     // behaviour), but per-command ordering is preserved by the scan.
-    for (auto it = requestQueue.begin(); it != requestQueue.end();) {
-        PacketPtr pkt = it->pkt;
-        unsigned bank = bankOf(pkt->addr());
+    // A serviced entry is cleared in place and squeezed out below.
+    std::size_t scanned = 0;
+    while (scanned < requestQueue.size()) {
+        QueuedAccess &entry = requestQueue[scanned++];
+        PacketPtr pkt = entry.pkt;
+        unsigned bank = cfg.banks > 1 ? bankOf(pkt->addr()) : 0;
+        std::uint64_t bank_bit = std::uint64_t(1) << (bank % 64);
         bool is_read = pkt->cmd() == MemCmd::ReadReq;
         unsigned &budget = is_read ? reads_left : writes_left;
-        if (budget == 0 || busy_banks.count(bank)) {
+        if (budget == 0 || (busyBanks[bank / 64] & bank_bit) != 0) {
             if (budget == 0) {
                 ++portStalls;
                 pkt->serviceFlags |= svcQueued;
@@ -186,7 +196,6 @@ Scratchpad::serviceCycle()
                             is_read ? "read" : "write",
                             (unsigned long long)pkt->addr(), bank);
             }
-            ++it;
             continue;
         }
         SALAM_TRACE(Scratchpad, "%s addr=0x%llx size=%u bank=%u",
@@ -195,7 +204,7 @@ Scratchpad::serviceCycle()
                     bank);
         --budget;
         if (cfg.banks > 1)
-            busy_banks.insert(bank);
+            busyBanks[bank / 64] |= bank_bit;
         access(pkt);
         Tick pkt_ready = ready;
         bool dropped = false;
@@ -213,12 +222,20 @@ Scratchpad::serviceCycle()
         if (!dropped) {
             noteProgress();
             responseQueue.push_back(
-                PendingResponse{pkt, it->sourcePort, pkt_ready});
+                PendingResponse{pkt, entry.sourcePort, pkt_ready});
         }
-        it = requestQueue.erase(it);
+        entry.pkt = nullptr;
         if (reads_left == 0 && writes_left == 0)
             break;
     }
+    // Slide the skipped entries of the scanned prefix up against the
+    // unscanned rest, keeping their order, and drop the gap in front.
+    std::size_t keep = scanned;
+    for (std::size_t i = scanned; i-- > 0;) {
+        if (requestQueue[i].pkt != nullptr)
+            requestQueue[--keep] = requestQueue[i];
+    }
+    requestQueue.dropFront(keep);
 
     // The front's readyAt can be in the past when it sat blocked
     // behind a refused send; never schedule before now.
@@ -238,7 +255,8 @@ Scratchpad::dumpDiagnostics(obs::JsonBuilder &json) const
                static_cast<std::uint64_t>(responseQueue.size()));
     json.field("reads", reads).field("writes", writes);
     json.beginArray("request_queue");
-    for (const QueuedAccess &qa : requestQueue) {
+    for (std::size_t i = 0; i < requestQueue.size(); ++i) {
+        const QueuedAccess &qa = requestQueue[i];
         json.beginObject()
             .field("addr", qa.pkt->addr())
             .field("size", std::uint64_t(qa.pkt->size()))
@@ -249,7 +267,8 @@ Scratchpad::dumpDiagnostics(obs::JsonBuilder &json) const
     }
     json.endArray();
     json.beginArray("response_queue");
-    for (const PendingResponse &pr : responseQueue) {
+    for (std::size_t i = 0; i < responseQueue.size(); ++i) {
+        const PendingResponse &pr = responseQueue[i];
         json.beginObject()
             .field("addr", pr.pkt->addr())
             .field("ready_at", pr.readyAt)

@@ -122,7 +122,8 @@ SimpleDram::dumpDiagnostics(obs::JsonBuilder &json) const
     json.field("bus_free_at", busFreeAt);
     json.field("reads", reads).field("writes", writes);
     json.beginArray("response_queue");
-    for (const Pending &p : responseQueue) {
+    for (std::size_t i = 0; i < responseQueue.size(); ++i) {
+        const Pending &p = responseQueue[i];
         json.beginObject()
             .field("addr", p.pkt->addr())
             .field("size", std::uint64_t(p.pkt->size()))

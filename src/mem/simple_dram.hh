@@ -12,10 +12,10 @@
 #define SALAM_MEM_SIMPLE_DRAM_HH
 
 #include <cstdlib>
-#include <deque>
 #include <memory>
 
 #include "port.hh"
+#include "ring_queue.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 
@@ -104,7 +104,7 @@ class SimpleDram : public ClockedObject
      */
     std::unique_ptr<std::uint8_t, FreeDeleter> store;
     DramPort responsePort;
-    std::deque<Pending> responseQueue;
+    RingQueue<Pending> responseQueue;
     EventFunctionWrapper responseEvent;
     /** Earliest tick the data bus is free (bandwidth model). */
     Tick busFreeAt = 0;

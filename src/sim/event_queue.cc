@@ -14,19 +14,6 @@ Event::~Event()
 namespace
 {
 
-/** Marker wrapper for queue-owned one-shot lambda events. */
-class OwnedLambdaEvent : public EventFunctionWrapper
-{
-  public:
-    using EventFunctionWrapper::EventFunctionWrapper;
-};
-
-bool
-isQueueOwned(Event *event)
-{
-    return dynamic_cast<OwnedLambdaEvent *>(event) != nullptr;
-}
-
 /**
  * Slow path of the host-limit backstop: terminate the run when the
  * bound SimContext's cancel flag is raised or its point deadline has
@@ -70,7 +57,7 @@ EventQueue::drainAll()
         Event *ev = entry.event;
         if (ev->_scheduled && ev->_sequence == entry.sequence) {
             ev->_scheduled = false;
-            if (isQueueOwned(ev))
+            if (ev->_queueOwned)
                 delete ev;
         }
     }
@@ -119,9 +106,10 @@ void
 EventQueue::schedule(Tick when, std::function<void()> callback,
                      std::string name, obs::HostPhase host_phase)
 {
-    auto *event = new OwnedLambdaEvent(std::move(callback),
-                                       std::move(name),
-                                       Event::defaultPri, host_phase);
+    auto *event = new EventFunctionWrapper(std::move(callback),
+                                           std::move(name),
+                                           Event::defaultPri, host_phase);
+    event->_queueOwned = true;
     schedule(event, when);
     ++liveLambdas;
 }
@@ -136,7 +124,7 @@ EventQueue::step()
 
         // Skip entries invalidated by deschedule()/reschedule().
         if (!ev->_scheduled || ev->_sequence != entry.sequence) {
-            if (!ev->_scheduled && isQueueOwned(ev))
+            if (!ev->_scheduled && ev->_queueOwned)
                 delete ev;
             continue;
         }
@@ -150,7 +138,7 @@ EventQueue::step()
                        queue.size());
         ev->process();
         ++serviced;
-        if (isQueueOwned(ev) && !ev->_scheduled) {
+        if (ev->_queueOwned && !ev->_scheduled) {
             delete ev;
             --liveLambdas;
         }
@@ -198,7 +186,7 @@ EventQueue::run(Tick limit)
         if (!top.event->_scheduled ||
             top.event->_sequence != top.sequence) {
             queue.pop();
-            if (!top.event->_scheduled && isQueueOwned(top.event))
+            if (!top.event->_scheduled && top.event->_queueOwned)
                 delete top.event;
             continue;
         }

@@ -78,6 +78,8 @@ class Event
     int _priority;
     obs::HostPhase _hostPhase = obs::HostPhase::EventLoop;
     bool _scheduled = false;
+    /** Created by schedule(Tick, fn); the queue deletes it. */
+    bool _queueOwned = false;
     Tick _when = 0;
     std::uint64_t _sequence = 0;
 };

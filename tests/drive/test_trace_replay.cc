@@ -322,6 +322,48 @@ TEST(TraceReplay, EmptyTraceFailsGracefully)
     EXPECT_FALSE(res.ok);
 }
 
+/**
+ * The replay refuses the scratchpad configs the Scratchpad
+ * constructor refuses, instead of dividing by zero or never
+ * returning.
+ */
+TEST(TraceReplay, UnservableSpmConfigsAreRejected)
+{
+    const KernelCapture &c = captured();
+    core::DeviceConfig dev;
+    core::StaticCdfg cdfg(*c.fn, dev);
+    struct Bad
+    {
+        const char *field;
+        void (*spoil)(drive::ReplaySpmConfig &);
+        const char *message;
+    };
+    const Bad bad[] = {
+        {"banks", [](drive::ReplaySpmConfig &s) { s.banks = 0; },
+         "at least one bank"},
+        {"wordBytes",
+         [](drive::ReplaySpmConfig &s) { s.wordBytes = 0; },
+         "at least one byte"},
+        {"readPorts",
+         [](drive::ReplaySpmConfig &s) { s.readPorts = 0; },
+         "at least one port"},
+        {"writePorts",
+         [](drive::ReplaySpmConfig &s) { s.writePorts = 0; },
+         "at least one port"},
+    };
+    for (const Bad &b : bad) {
+        SCOPED_TRACE(b.field);
+        drive::ReplaySpmConfig spm;
+        spm.rangeStart = test::spmBase;
+        b.spoil(spm);
+        drive::TraceReplayer replayer(cdfg, dev, c.trace, spm);
+        drive::ReplayResult res = replayer.run();
+        EXPECT_FALSE(res.ok);
+        EXPECT_NE(res.error.find(b.message), std::string::npos)
+            << res.error;
+    }
+}
+
 namespace
 {
 

@@ -1,13 +1,15 @@
 /**
  * @file
  * Crossbar backpressure edge cases: requestsPerCycle throttling
- * under simultaneous requesters, sender-state response routing with
- * interleaved outstanding requests, retry-after-refusal from a
- * saturated downstream device, and per-requester credit limits.
+ * under simultaneous requesters, route-stack response routing with
+ * interleaved outstanding requests (through one fabric and through
+ * two nested ones), retry-after-refusal from a saturated downstream
+ * device, and per-requester credit limits.
  */
 
 #include <gtest/gtest.h>
 
+#include "mem/axi_bus.hh"
 #include "mem/crossbar.hh"
 #include "mem/scratchpad.hh"
 #include "test_harness.hh"
@@ -130,7 +132,7 @@ TEST(CrossbarBackpressure, ThroughputLimitUnderSimultaneousLoad)
 }
 
 /**
- * Sender-state response routing with interleaved outstanding
+ * Route-stack response routing with interleaved outstanding
  * requests: two requesters each keep two reads in flight to two
  * devices with very different latencies, so responses return out of
  * request order and interleaved across requesters. Every response
@@ -175,6 +177,58 @@ TEST(CrossbarBackpressure, SenderStateRoutesInterleavedResponses)
     EXPECT_EQ(r0.arrivalOf(slow1), 0u);
     EXPECT_EQ(r1.arrivalOf(fast0), 0u);
     EXPECT_EQ(r1.arrivalOf(slow0), 0u);
+}
+
+/**
+ * The same interleaving through two nested fabrics: requesters on a
+ * crossbar whose devices sit behind an AxiLikeBus. Each request
+ * carries two route entries, the crossbar's pushed first; the bus
+ * must pop its own entry and the crossbar the one beneath it. The
+ * crossbar is the bus's second requester, so popping in the wrong
+ * order would send responses to the idle first one.
+ */
+TEST(CrossbarBackpressure, NestedFabricRoutesPopInOrder)
+{
+    Simulation sim;
+    auto &xbar = sim.create<Crossbar>("xbar", 10);
+    auto &bus = sim.create<AxiLikeBus>("bus", 10);
+    auto fast_cfg = spmConfig(0x1000, 0x1000);
+    fast_cfg.latencyCycles = 1;
+    fast_cfg.readPorts = 4;
+    auto slow_cfg = spmConfig(0x2000, 0x1000);
+    slow_cfg.latencyCycles = 20;
+    slow_cfg.readPorts = 4;
+    auto &fast = sim.create<Scratchpad>("fast", 10, fast_cfg);
+    auto &slow = sim.create<Scratchpad>("slow", 10, slow_cfg);
+    bus.connectDevice(fast.port(0), fast_cfg.range);
+    bus.connectDevice(slow.port(0), slow_cfg.range);
+
+    TestRequester idle(sim, "idle");
+    bindPorts(idle, bus.addRequester("idle"));
+    xbar.connectDefault(bus.addRequester("xbar"));
+
+    TestRequester r0(sim, "r0");
+    TestRequester r1(sim, "r1");
+    bindPorts(r0, xbar.addRequester("r0"));
+    bindPorts(r1, xbar.addRequester("r1"));
+
+    auto *slow0 = r0.read(0, 0x2000, 4);
+    auto *fast0 = r0.read(0, 0x1000, 4);
+    auto *slow1 = r1.read(0, 0x2010, 4);
+    auto *fast1 = r1.read(0, 0x1010, 4);
+    sim.run();
+
+    EXPECT_TRUE(idle.responses.empty());
+    ASSERT_EQ(r0.responses.size(), 2u);
+    ASSERT_EQ(r1.responses.size(), 2u);
+    EXPECT_LT(r0.arrivalOf(fast0), r0.arrivalOf(slow0));
+    EXPECT_LT(r1.arrivalOf(fast1), r1.arrivalOf(slow1));
+    EXPECT_EQ(r0.arrivalOf(fast1), 0u);
+    EXPECT_EQ(r0.arrivalOf(slow1), 0u);
+    EXPECT_EQ(r1.arrivalOf(fast0), 0u);
+    EXPECT_EQ(r1.arrivalOf(slow0), 0u);
+    for (const auto &r : r0.responses)
+        EXPECT_FALSE(r.pkt->hasRoute());
 }
 
 /**

@@ -192,3 +192,37 @@ TEST(Scratchpad, OutOfRangeAccessPanics)
     req.read(0, 0x2000, 4);
     EXPECT_DEATH(sim.run(), "assertion");
 }
+
+/**
+ * Configs no scratchpad can serve are refused at construction, not
+ * at the first access (0 banks or 0-byte words divide by zero; 0
+ * ports never service a request). TraceReplayer::run refuses the
+ * same ones.
+ */
+TEST(Scratchpad, UnservableConfigsAreFatal)
+{
+    struct Bad
+    {
+        const char *field;
+        void (*spoil)(ScratchpadConfig &);
+        const char *message;
+    };
+    const Bad bad[] = {
+        {"banks", [](ScratchpadConfig &c) { c.banks = 0; },
+         "at least one bank"},
+        {"wordBytes", [](ScratchpadConfig &c) { c.wordBytes = 0; },
+         "at least one byte"},
+        {"readPorts", [](ScratchpadConfig &c) { c.readPorts = 0; },
+         "at least one port"},
+        {"writePorts", [](ScratchpadConfig &c) { c.writePorts = 0; },
+         "at least one port"},
+    };
+    for (const Bad &b : bad) {
+        SCOPED_TRACE(b.field);
+        auto cfg = spmConfig(0, 1024);
+        b.spoil(cfg);
+        Simulation sim;
+        EXPECT_EXIT(sim.create<Scratchpad>("spm", 10, cfg),
+                    ::testing::ExitedWithCode(1), b.message);
+    }
+}
