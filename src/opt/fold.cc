@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "ir/eval.hh"
 #include "sim/logging.hh"
@@ -17,10 +18,10 @@ namespace
 {
 
 /** Count uses of every instruction-defined value in @p fn. */
-std::map<const Value *, std::size_t>
+std::unordered_map<const Value *, std::size_t>
 countUses(const Function &fn)
 {
-    std::map<const Value *, std::size_t> uses;
+    std::unordered_map<const Value *, std::size_t> uses;
     for (std::size_t b = 0; b < fn.numBlocks(); ++b) {
         const BasicBlock *block = fn.block(b);
         for (const auto &inst : *block) {
@@ -385,6 +386,20 @@ balanceReductions(Function &fn)
             changed = false;
             auto uses = countUses(fn);
 
+            // Nodes that are an input of a same-op node in this block.
+            std::unordered_set<const Value *> feeds_same_op;
+            for (std::size_t j = 0; j < block->size(); ++j) {
+                Instruction *user = block->instruction(j);
+                if (!isBalanceable(user->opcode()))
+                    continue;
+                for (std::size_t o = 0; o < 2; ++o) {
+                    auto *in =
+                        dynamic_cast<Instruction *>(user->operand(o));
+                    if (in != nullptr && in->opcode() == user->opcode())
+                        feeds_same_op.insert(in);
+                }
+            }
+
             for (std::size_t i = 0; i < block->size(); ++i) {
                 Instruction *tail = block->instruction(i);
                 if (!isBalanceable(tail->opcode()))
@@ -395,17 +410,7 @@ balanceReductions(Function &fn)
 
                 // A chain tail is a node whose result is not itself
                 // a single-use input of another same-op node here.
-                bool is_tail = true;
-                for (std::size_t j = 0; j < block->size(); ++j) {
-                    Instruction *user = block->instruction(j);
-                    if (user->opcode() == op && uses[tail] == 1 &&
-                        (user->operand(0) == tail ||
-                         user->operand(1) == tail)) {
-                        is_tail = false;
-                        break;
-                    }
-                }
-                if (!is_tail)
+                if (uses[tail] == 1 && feeds_same_op.count(tail) != 0)
                     continue;
 
                 // Gather leaves through single-use same-op links,
