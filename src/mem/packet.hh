@@ -241,7 +241,7 @@ class Packet
     /** Payload bytes (0 for a response created without data). */
     unsigned _dataBytes = 0;
     unsigned routeDepth = 0;
-    std::uint16_t routeStack[maxRouteDepth];
+    std::uint16_t routeStack[maxRouteDepth] = {};
     std::uint8_t inlineData[inlineBytes] = {};
     std::unique_ptr<std::uint8_t[]> heapData;
 };
