@@ -379,27 +379,32 @@ bool
 balanceReductions(Function &fn)
 {
     bool any = false;
+    // Equal to countUses(fn) throughout: a rewrite adds its new
+    // nodes' operands and moves the tail's uses to the new root.
+    auto uses = countUses(fn);
     for (std::size_t b = 0; b < fn.numBlocks(); ++b) {
         BasicBlock *block = fn.block(b);
+
+        // Nodes that are an input of a same-op node in this block,
+        // kept up to date the same way.
+        std::unordered_set<const Value *> feeds_same_op;
+        auto note_inputs = [&feeds_same_op](const Instruction *user) {
+            for (std::size_t o = 0; o < 2; ++o) {
+                auto *in =
+                    dynamic_cast<const Instruction *>(user->operand(o));
+                if (in != nullptr && in->opcode() == user->opcode())
+                    feeds_same_op.insert(in);
+            }
+        };
+        for (std::size_t j = 0; j < block->size(); ++j) {
+            Instruction *user = block->instruction(j);
+            if (isBalanceable(user->opcode()))
+                note_inputs(user);
+        }
+
         bool changed = true;
         while (changed) {
             changed = false;
-            auto uses = countUses(fn);
-
-            // Nodes that are an input of a same-op node in this block.
-            std::unordered_set<const Value *> feeds_same_op;
-            for (std::size_t j = 0; j < block->size(); ++j) {
-                Instruction *user = block->instruction(j);
-                if (!isBalanceable(user->opcode()))
-                    continue;
-                for (std::size_t o = 0; o < 2; ++o) {
-                    auto *in =
-                        dynamic_cast<Instruction *>(user->operand(o));
-                    if (in != nullptr && in->opcode() == user->opcode())
-                        feeds_same_op.insert(in);
-                }
-            }
-
             for (std::size_t i = 0; i < block->size(); ++i) {
                 Instruction *tail = block->instruction(i);
                 if (!isBalanceable(tail->opcode()))
@@ -467,6 +472,9 @@ balanceReductions(Function &fn)
                                 std::to_string(serial++));
                         Instruction *placed =
                             block->insert(pos++, std::move(node));
+                        ++uses[level[k]];
+                        ++uses[level[k + 1]];
+                        note_inputs(placed);
                         next.push_back(placed);
                     }
                     if (k < level.size())
@@ -475,9 +483,14 @@ balanceReductions(Function &fn)
                 }
 
                 replaceAllUses(fn, tail, level.front());
+                std::size_t moved = uses[tail];
+                uses[tail] = 0;
+                uses[level.front()] += moved;
+                if (feeds_same_op.erase(tail) != 0)
+                    feeds_same_op.insert(level.front());
                 changed = true;
                 any = true;
-                break; // uses map is stale; rescan the block
+                break; // rescan the block with the rewrite in place
             }
         }
     }
