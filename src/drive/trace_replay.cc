@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "ir/instruction.hh"
+#include "mem/scratchpad.hh"
 
 namespace salam::drive
 {
@@ -1076,22 +1077,11 @@ ReplayResult
 TraceReplayer::run()
 {
     ReplayResult result;
-    // The same configs the Scratchpad constructor refuses: no port
-    // would ever service a request, and 0 banks or 0-byte words
-    // divide by zero.
-    if (spmCfg.readPorts == 0 || spmCfg.writePorts == 0) {
-        result.error = "scratchpad needs at least one port";
+    result.error = mem::spmConfigError(spmCfg.readPorts,
+                                       spmCfg.writePorts, spmCfg.banks,
+                                       spmCfg.wordBytes);
+    if (!result.error.empty())
         return result;
-    }
-    if (spmCfg.banks == 0) {
-        result.error = "scratchpad needs at least one bank";
-        return result;
-    }
-    if (spmCfg.wordBytes == 0) {
-        result.error =
-            "scratchpad interleave word must be at least one byte";
-        return result;
-    }
     if (trace.empty()) {
         result.error = "empty trace";
         return result;

@@ -7,6 +7,19 @@
 namespace salam::mem
 {
 
+std::string
+spmConfigError(unsigned read_ports, unsigned write_ports,
+               unsigned banks, unsigned word_bytes)
+{
+    if (read_ports == 0 || write_ports == 0)
+        return "scratchpad needs at least one port";
+    if (banks == 0)
+        return "scratchpad needs at least one bank";
+    if (word_bytes == 0)
+        return "scratchpad interleave word must be at least one byte";
+    return {};
+}
+
 Scratchpad::Scratchpad(Simulation &sim, std::string name,
                        Tick clock_period,
                        const ScratchpadConfig &config)
@@ -23,15 +36,13 @@ Scratchpad::Scratchpad(Simulation &sim, std::string name,
 {
     if (cfg.range.size() == 0)
         fatal("%s: scratchpad range is empty", this->name().c_str());
-    if (cfg.numPorts == 0 || cfg.readPorts == 0 || cfg.writePorts == 0)
+    if (cfg.numPorts == 0)
         fatal("%s: scratchpad needs at least one port",
               this->name().c_str());
-    if (cfg.banks == 0)
-        fatal("%s: scratchpad needs at least one bank",
-              this->name().c_str());
-    if (cfg.wordBytes == 0)
-        fatal("%s: scratchpad interleave word must be at least one "
-              "byte", this->name().c_str());
+    std::string unservable = spmConfigError(
+        cfg.readPorts, cfg.writePorts, cfg.banks, cfg.wordBytes);
+    if (!unservable.empty())
+        fatal("%s: %s", this->name().c_str(), unservable.c_str());
     for (unsigned i = 0; i < cfg.numPorts; ++i)
         ports.push_back(std::make_unique<SpmPort>(*this, i));
 }
@@ -115,7 +126,9 @@ Scratchpad::handleRequest(PacketPtr pkt, unsigned source_port)
             name() + ".injected_retry");
         return false;
     }
-    requestQueue.push_back(QueuedAccess{pkt, source_port});
+    unsigned bank = cfg.banks > 1 ? bankOf(pkt->addr()) : 0;
+    requestQueue.push_back(QueuedAccess{
+        pkt, source_port, bank, pkt->cmd() == MemCmd::ReadReq});
     scheduleService();
     return true;
 }
@@ -177,12 +190,13 @@ Scratchpad::serviceCycle()
     // behaviour), but per-command ordering is preserved by the scan.
     // A serviced entry is cleared in place and squeezed out below.
     std::size_t scanned = 0;
+    std::size_t past_serviced = 0;
     while (scanned < requestQueue.size()) {
         QueuedAccess &entry = requestQueue[scanned++];
         PacketPtr pkt = entry.pkt;
-        unsigned bank = cfg.banks > 1 ? bankOf(pkt->addr()) : 0;
+        unsigned bank = entry.bank;
         std::uint64_t bank_bit = std::uint64_t(1) << (bank % 64);
-        bool is_read = pkt->cmd() == MemCmd::ReadReq;
+        bool is_read = entry.isRead;
         unsigned &budget = is_read ? reads_left : writes_left;
         if (budget == 0 || (busyBanks[bank / 64] & bank_bit) != 0) {
             if (budget == 0) {
@@ -225,13 +239,14 @@ Scratchpad::serviceCycle()
                 PendingResponse{pkt, entry.sourcePort, pkt_ready});
         }
         entry.pkt = nullptr;
+        past_serviced = scanned;
         if (reads_left == 0 && writes_left == 0)
             break;
     }
-    // Slide the skipped entries of the scanned prefix up against the
-    // unscanned rest, keeping their order, and drop the gap in front.
-    std::size_t keep = scanned;
-    for (std::size_t i = scanned; i-- > 0;) {
+    // Slide the entries skipped before the last serviced one up
+    // against the rest, keeping their order, and drop the gap.
+    std::size_t keep = past_serviced;
+    for (std::size_t i = past_serviced; i-- > 0;) {
         if (requestQueue[i].pkt != nullptr)
             requestQueue[--keep] = requestQueue[i];
     }

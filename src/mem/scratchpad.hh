@@ -13,6 +13,7 @@
 #define SALAM_MEM_SCRATCHPAD_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "port.hh"
@@ -40,6 +41,15 @@ struct ScratchpadConfig
     /** Number of connection endpoints exposed. */
     unsigned numPorts = 1;
 };
+
+/**
+ * Why a scratchpad with these parameters could never serve a request,
+ * or "" when it can: no read or write port, no bank, or a 0-byte
+ * interleave word (which would divide by zero). The Scratchpad
+ * constructor and the trace replay's SPM model both refuse these.
+ */
+std::string spmConfigError(unsigned read_ports, unsigned write_ports,
+                           unsigned banks, unsigned word_bytes);
 
 /** The scratchpad device. */
 class Scratchpad : public ClockedObject
@@ -100,10 +110,17 @@ class Scratchpad : public ClockedObject
         unsigned index;
     };
 
+    /**
+     * A request awaiting service. The bank and direction are decoded
+     * once on arrival, since a blocked request is rescanned every
+     * cycle until it is served.
+     */
     struct QueuedAccess
     {
         PacketPtr pkt;
         unsigned sourcePort;
+        unsigned bank;
+        bool isRead;
     };
 
     struct PendingResponse
