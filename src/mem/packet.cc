@@ -2,10 +2,8 @@
 
 #include <new>
 
-#if defined(__has_include)
 #if __has_include(<sanitizer/asan_interface.h>)
 #include <sanitizer/asan_interface.h>
-#endif
 #endif
 
 #ifndef ASAN_POISON_MEMORY_REGION

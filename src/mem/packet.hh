@@ -99,9 +99,6 @@ class Packet
         }
     }
 
-    Packet(const Packet &) = delete;
-    Packet &operator=(const Packet &) = delete;
-
     /** Packets come from, and return to, a per-thread freelist. */
     static void *operator new(std::size_t bytes);
 
