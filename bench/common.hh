@@ -1040,9 +1040,9 @@ captureTraceEntry(const kernels::Kernel &kernel,
     entry.fn = kernel.buildOptimized(builder);
     entry.holder = mod;
 
-    // The trace's scheduling skeleton (producer/conflict edges) is
-    // config-independent, so compute it once here and share it with
-    // every replay; any elaboration of this IR works for that.
+    // Validate the trace against this IR once here and share the
+    // result with every replay; the check is config-independent, so
+    // any elaboration of the IR works for it.
     core::StaticCdfg prep_cdfg(*entry.fn, cap);
     entry.prep = std::make_shared<const drive::ReplayPrep>(
         drive::buildReplayPrep(prep_cdfg, entry.trace));

@@ -69,27 +69,26 @@ CommInterface::portFor(std::uint64_t addr, unsigned size) const
 }
 
 bool
-CommInterface::issueMemory(DynInst *op)
+CommInterface::issueMemory(const MemRequest &req)
 {
-    int port = portFor(op->memAddr, op->memSize);
+    int port = portFor(req.addr, req.size);
     if (port < 0)
         fatal("%s: no data port serves address 0x%llx",
-              name().c_str(),
-              static_cast<unsigned long long>(op->memAddr));
+              name().c_str(), static_cast<unsigned long long>(req.addr));
 
     PacketPtr pkt;
-    if (op->isLoad) {
-        pkt = new Packet(MemCmd::ReadReq, op->memAddr, op->memSize);
+    if (req.isLoad) {
+        pkt = new Packet(MemCmd::ReadReq, req.addr, req.size);
     } else {
-        pkt = new Packet(MemCmd::WriteReq, op->memAddr, op->memSize);
-        // Store data is operand 0 of the store instruction.
-        pkt->setData(&op->operandValues[0].bits, op->memSize);
+        pkt = new Packet(MemCmd::WriteReq, req.addr, req.size);
+        pkt->setData(&req.storeData, req.size);
     }
-    pkt->context = op;
+    pkt->context = this;
+    pkt->tag = req.seq;
     ++dataRequestsIssued;
     SALAM_TRACE(Comm, "%s port %d addr=0x%llx size=%u",
-                op->isLoad ? "load" : "store", port,
-                (unsigned long long)op->memAddr, op->memSize);
+                req.isLoad ? "load" : "store", port,
+                (unsigned long long)req.addr, req.size);
     if (!dataPorts[static_cast<unsigned>(port)]->sendTimingReq(pkt)) {
         ++dataRequestsBlocked;
         pkt->serviceFlags |= svcQueued;
@@ -113,13 +112,10 @@ CommInterface::retryBlockedRequests()
 bool
 CommInterface::handleDataResponse(PacketPtr pkt)
 {
-    auto *op = static_cast<DynInst *>(pkt->context);
-    SALAM_ASSERT(op != nullptr);
-    // Surface the memory system's service annotations to the engine
-    // before the commit they will be attributed at.
-    op->memServiceFlags = pkt->serviceFlags;
+    SALAM_ASSERT(pkt->context == this);
     if (onResponse)
-        onResponse(op, pkt->data(), pkt->size());
+        onResponse(pkt->tag, pkt->serviceFlags, pkt->data(),
+                   pkt->size());
     delete pkt;
     return true;
 }

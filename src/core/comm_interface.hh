@@ -79,21 +79,24 @@ class CommInterface : public ClockedObject
     // -- Engine-facing API ------------------------------------------
 
     /**
-     * Issue the memory operation @p op. Routes by address to the
-     * matching data port. Returns false when no port serves the
-     * address range (a configuration error surfaces as fatal) —
+     * Issue the engine's memory operation @p req. Routes by address
+     * to the matching data port. Returns false when no port serves
+     * the address range (a configuration error surfaces as fatal) —
      * otherwise the request is accepted.
      */
-    bool issueMemory(DynInst *op);
+    bool issueMemory(const MemRequest &req);
 
-    /** Handler invoked when a data response arrives. */
-    void
-    setResponseHandler(
-        std::function<void(DynInst *, const std::uint8_t *,
-                           unsigned)> handler)
-    {
-        onResponse = std::move(handler);
-    }
+    /**
+     * Handler invoked when a data response arrives, with the
+     * request's seq, the memory system's mem::Packet service
+     * annotations, and the payload.
+     */
+    using ResponseHandler = std::function<void(
+        std::uint64_t seq, unsigned service_flags,
+        const std::uint8_t *data, unsigned size)>;
+
+    void setResponseHandler(ResponseHandler handler)
+    { onResponse = std::move(handler); }
 
     // -- Host/control-facing API ------------------------------------
 
@@ -202,8 +205,7 @@ class CommInterface : public ClockedObject
 
     std::function<void()> onStart;
     std::function<void()> irq;
-    std::function<void(DynInst *, const std::uint8_t *, unsigned)>
-        onResponse;
+    ResponseHandler onResponse;
 
     std::uint64_t mmrReadCount = 0;
     std::uint64_t mmrWriteCount = 0;

@@ -1,7 +1,11 @@
 #include "compute_unit.hh"
 
+#include <sstream>
+
+#include "ir/printer.hh"
 #include "ir/verifier.hh"
 #include "obs/debug_flags.hh"
+#include "obs/run_report.hh"
 
 namespace salam::core
 {
@@ -45,10 +49,11 @@ ComputeUnit::ComputeUnit(Simulation &sim, std::string name,
       tickEvent([this] { tick(); }, this->name() + ".tick",
                 Event::cpuTickPri, obs::HostPhase::EngineSchedule)
 {
-    comm.setResponseHandler(
-        [this](DynInst *op, const std::uint8_t *data, unsigned size) {
-            engine.memoryResponse(op, data, size);
-        });
+    comm.setResponseHandler([this](std::uint64_t seq, unsigned flags,
+                                   const std::uint8_t *data,
+                                   unsigned size) {
+        engine.memoryResponse(seq, flags, data, size);
+    });
     comm.setStartHandler([this] { startFromMmrs(); });
 }
 
@@ -154,6 +159,22 @@ ComputeUnit::init()
         obs.profiler = &prof;
     }
     engine.setObserver(std::move(obs));
+}
+
+std::uint64_t
+irHashOf(const ir::Function &fn)
+{
+    std::ostringstream text;
+    ir::Printer::print(text, fn);
+    return obs::fnv1aHash(text.str());
+}
+
+void
+ComputeUnit::enableTraceCapture(DynTrace *trace)
+{
+    if (trace != nullptr)
+        trace->irHash = irHashOf(staticCdfg.function());
+    engine.setTraceCapture(trace);
 }
 
 void

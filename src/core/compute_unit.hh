@@ -70,10 +70,10 @@ class ComputeUnit : public ClockedObject, private EngineClient
 
     /**
      * Capture this unit's dynamic trace into @p trace (the
-     * trace-reuse fast path's input). Call before start().
+     * trace-reuse fast path's input), stamped with the kernel IR's
+     * irHashOf(). Call before start().
      */
-    void enableTraceCapture(DynTrace *trace)
-    { engine.setTraceCapture(trace); }
+    void enableTraceCapture(DynTrace *trace);
 
     const DeviceConfig &deviceConfig() const { return cfg; }
 
@@ -89,8 +89,8 @@ class ComputeUnit : public ClockedObject, private EngineClient
     void requestTick();
 
     // EngineClient: the engine's upcalls into its owner.
-    bool engineIssueMemory(DynInst *op) override
-    { return comm.issueMemory(op); }
+    bool engineIssueMemory(const MemRequest &req) override
+    { return comm.issueMemory(req); }
 
     void engineRequestTick() override { requestTick(); }
 

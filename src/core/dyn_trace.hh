@@ -7,17 +7,20 @@
  * full execute-in-execute engine once with capture enabled, recording
  * per dynamic instance everything that depends on *data*: the static
  * instruction executed, the control edge each terminator took, and
- * every resolved memory address. A TraceReplayer can then re-schedule
- * the identical instruction stream under different FU counts, port
+ * every resolved memory address. A replay then drives the same
+ * RuntimeEngine with this trace as its operand source
+ * (RuntimeEngine::setTraceSource) under different FU counts, port
  * limits, queue sizes, and memory latencies without re-executing a
  * single operand — those knobs change *when* instances issue, never
  * *which* instances exist or *where* they touch memory.
  *
  * The record is deliberately minimal: one 24-byte POD per dynamic
  * instance, indexed by the engine's dynamic seq. Operand values are
- * NOT stored — replays never evaluate, so they only need the
- * dependence shape (already in the StaticCdfg) plus the data-driven
- * outcomes captured here.
+ * NOT stored — the engine does not evaluate under a trace source, so
+ * it only needs the dependence shape (already in the StaticCdfg)
+ * plus the data-driven outcomes captured here. The trace is stamped
+ * with a hash of the captured function's IR, so a replay on any
+ * other IR is refused.
  */
 
 #ifndef SALAM_CORE_DYN_TRACE_HH
@@ -26,6 +29,11 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+namespace salam::ir
+{
+class Function;
+} // namespace salam::ir
 
 namespace salam::core
 {
@@ -75,11 +83,21 @@ struct DynTrace
     /** runConfigHash of the capturing run (informational). */
     std::uint64_t sourceConfigHash = 0;
 
+    /** irHashOf() the captured function (stamped at capture). */
+    std::uint64_t irHash = 0;
+
     /** The dynamic instruction stream, in seq order. */
     std::vector<DynTraceInst> insts;
 
     bool empty() const { return insts.empty(); }
 };
+
+/**
+ * obs::fnv1aHash of @p fn's printer text: the identity of the IR a
+ * trace's static ids refer to. The function is hashed, not its
+ * module, whose name differs between capture and replay.
+ */
+std::uint64_t irHashOf(const ir::Function &fn);
 
 } // namespace salam::core
 

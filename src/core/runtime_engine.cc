@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <span>
 
 #include "mem/packet.hh"
-#include "obs/host_telemetry.hh"
 #include "sim/logging.hh"
 
 namespace salam::core
@@ -48,7 +48,7 @@ RuntimeEngine::RuntimeEngine(const StaticCdfg &cdfg,
                 static_cast<std::uint8_t>(numLimitedFus++);
         }
     }
-    latestInstance.assign(staticCdfg.numInstructions(), nullptr);
+    latestInstance.assign(staticCdfg.numInstructions(), noSeq);
     committedValues.assign(staticCdfg.numValueIds(), RuntimeValue{});
     committedKnown.assign(staticCdfg.numValueIds(), 0);
 
@@ -58,16 +58,33 @@ RuntimeEngine::RuntimeEngine(const StaticCdfg &cdfg,
     // so the accumulated energies are bit-identical.
     const HardwareProfile &profile = cfg.profile;
     facts.resize(staticCdfg.numInstructions());
+    unsigned max_slots = 1;
     for (unsigned id = 0; id < staticCdfg.numInstructions(); ++id) {
         const StaticInstInfo &info = staticCdfg.infoById(id);
         const Instruction *inst = info.inst;
         StaticFacts &f = facts[id];
+        f.inst = inst;
+        f.resultValueId = info.resultValueId;
+        f.latency = info.latency;
+        f.initiationInterval = info.initiationInterval;
+        f.fu = info.fu;
+        f.isPhi = info.isPhi;
+        f.isVoid = inst->type()->isVoid();
+        f.block = staticCdfg.blockInfo(inst->parent()).id;
+        unsigned slots = info.isPhi
+            ? 1u
+            : static_cast<unsigned>(inst->numOperands());
+        if (slots > 0xff)
+            fatal("engine: %%%s has %u operands (at most 255)",
+                  inst->name().c_str(), slots);
+        f.numSlots = static_cast<std::uint8_t>(slots);
+        max_slots = std::max(max_slots, slots);
         double read_bits = 0.0;
         for (std::size_t o = 0; o < inst->numOperands(); ++o)
             read_bits += inst->operand(o)->type()->bitWidth();
         f.readEnergyPj =
             read_bits * profile.registers().readEnergyPjPerBit;
-        if (!inst->type()->isVoid()) {
+        if (!f.isVoid) {
             f.writeEnergyPj = static_cast<double>(info.resultBits) *
                 profile.registers().writeEnergyPjPerBit;
         }
@@ -76,17 +93,26 @@ RuntimeEngine::RuntimeEngine(const StaticCdfg &cdfg,
             f.limitedFu = limitedFuOf[static_cast<std::size_t>(info.fu)];
         }
         switch (inst->opcode()) {
-          case Opcode::Br:
+          case Opcode::Br: {
             f.kind = opBr;
+            const auto *br = static_cast<const BranchInst *>(inst);
+            f.ifTrue = staticCdfg.blockInfo(br->ifTrue()).id;
+            if (br->isConditional())
+                f.ifFalse = staticCdfg.blockInfo(br->ifFalse()).id;
             break;
+          }
           case Opcode::Ret:
             f.kind = opRet;
             break;
           case Opcode::Load:
             f.kind = opLoad;
+            f.memSize = static_cast<unsigned>(inst->type()->storeSize());
             break;
           case Opcode::Store:
             f.kind = opStore;
+            f.memSize = static_cast<unsigned>(
+                static_cast<const StoreInst *>(inst)
+                    ->value()->type()->storeSize());
             break;
           default:
             f.kind = opCompute;
@@ -102,14 +128,16 @@ RuntimeEngine::RuntimeEngine(const StaticCdfg &cdfg,
             f.lane = laneOther;
         }
     }
+    while ((1u << slotShift) < max_slots)
+        ++slotShift;
 
-    // The window ring starts at twice the reservation capacity and
-    // grows on demand (reserveWindow).
+    // The window ring starts small and grows on demand
+    // (reserveWindow), so a point touches only the ring it needs.
     std::uint64_t slots = 256;
-    while (slots < 2ull * cfg.reservationQueueSize)
-        slots *= 2;
-    window.assign(slots, nullptr);
     windowMask = slots - 1;
+    window.resize(slots);
+    operands.resize(slots << slotShift);
+    memStates.resize(slots);
     candBits.assign(slots / 64, 0);
     candLoadBits.assign(slots / 64, 0);
     candStoreBits.assign(slots / 64, 0);
@@ -130,16 +158,20 @@ RuntimeEngine::start(const std::vector<RuntimeValue> &args)
         committedValues[i] = args[i];
         committedKnown[i] = 1;
     }
+    if (source == nullptr) {
+        operandValues.resize(window.size() << slotShift);
+        results.resize(window.size());
+    }
 
     active = true;
     completed = false;
     retSeen = false;
     cycleCount = 0;
-    importBlock(fn.entry(), nullptr);
+    importBlock(staticCdfg.blockInfo(fn.entry()).id, noBlock);
     // The entry block may issue in cycle 0, and so may its memory
     // ops with an already-known pointer resolve.
     for (std::uint64_t seq = windowFront; seq < nextSeq; ++seq)
-        atSeq(seq)->minIssueCycle = 0;
+        at(seq).minIssueCycle = 0;
     for (auto &due : dueResolves)
         due.first = 0;
     client.engineRequestTick();
@@ -149,63 +181,57 @@ void
 RuntimeEngine::setObserver(EngineObserver obs)
 {
     observer = std::move(obs);
+    if ((observer.profiler || observer.sink) && profStates.empty()) {
+        // Instances imported before the attach start from defaults.
+        profStates.assign(window.size(), ProfState{});
+    }
     bool prune = observer.profiler == nullptr;
     if (pruneVisits && !prune) {
         // A profiler sees every ready instance's wait cause: offer
         // the ones hand-off gating kept out of the candidate set.
         pruneVisits = false;
         for (std::uint64_t seq = windowFront; seq < nextSeq; ++seq)
-            maybeCandidate(atSeq(seq));
+            maybeCandidate(seq);
     }
     pruneVisits = prune;
 }
 
-DynInst *
-RuntimeEngine::acquireDynInst()
-{
-    if (freeList.empty()) {
-        ++arenaMissCount;
-        arena.push_back(std::make_unique<DynInst>());
-        return arena.back().get();
-    }
-    ++arenaHitCount;
-    DynInst *di = freeList.back();
-    freeList.pop_back();
-    di->reset();
-    return di;
-}
-
-DynInst *
+std::uint64_t
 RuntimeEngine::createDynInst(const StaticInstInfo &info)
 {
-    const Instruction *inst = info.inst;
-    DynInst *di = acquireDynInst();
-    di->inst = inst;
-    di->staticInfo = &info;
-    di->seq = nextSeq++;
-    di->minIssueCycle = cycleCount + 1;
-    di->ctrlParentSeq = importCtrlSeq;
-    di->ctrlLinkCause = importCtrlCause;
-    di->isLoad = inst->opcode() == Opcode::Load;
-    di->isStore = inst->opcode() == Opcode::Store;
-    di->producers.assign(inst->numOperands(), nullptr);
-    di->operandValues.assign(inst->numOperands(), RuntimeValue{});
+    reserveWindow(nextSeq);
+    std::uint64_t seq = nextSeq++;
+    const StaticFacts &f = facts[info.id];
+    DynInst &di = at(seq);
+    di = DynInst{};
+    di.staticId = info.id;
+    di.minIssueCycle = cycleCount + 1;
+    di.prevInstance = noSeq;
+    di.nextInstance = noSeq;
+    di.firstReader = noSeq;
+    Operand *ops = operandsOf(seq);
+    for (unsigned s = 0; s < f.numSlots; ++s)
+        ops[s] = Operand{noSeq, noSeq};
+    if (!profStates.empty()) {
+        ProfState &prof = profOf(seq);
+        prof = ProfState{};
+        prof.ctrlParentSeq = importCtrlSeq;
+        prof.ctrlLinkCause = importCtrlCause;
+    }
 
     // WAW/WAR chain against the previous dynamic instance.
-    DynInst *&latest = latestInstance[info.id];
-    if (latest != nullptr) {
-        di->prevInstance = latest;
-        latest->nextInstance = di;
+    std::uint64_t &latest = latestInstance[info.id];
+    if (latest != noSeq) {
+        di.prevInstance = latest;
+        at(latest).nextInstance = seq;
     }
-    latest = di;
+    latest = seq;
 
-    reserveWindow(di->seq);
-    window[di->seq & windowMask] = di;
     ++engineStats.dynamicInstructions;
     if (capture != nullptr)
         capture->insts.push_back({info.id, DynTrace::noBranchTarget,
                                   0, 0});
-    return di;
+    return seq;
 }
 
 void
@@ -215,8 +241,26 @@ RuntimeEngine::growWindow(std::uint64_t needed)
     while (slots < needed)
         slots *= 2;
     std::uint64_t mask = slots - 1;
-    std::vector<DynInst *> grown(slots, nullptr);
-    auto regrid = [&](std::vector<std::uint64_t> &bits) {
+    // Each ring keeps its in-window entries at their new slots.
+    auto regrid = [&](auto &ring, unsigned shift) {
+        if (ring.empty())
+            return; // a ring this engine does not keep
+        std::remove_reference_t<decltype(ring)> out(slots << shift);
+        for (std::uint64_t s = windowFront; s < nextSeq; ++s) {
+            for (std::uint64_t k = 0; k < (1ull << shift); ++k) {
+                out[((s & mask) << shift) | k] =
+                    ring[((s & windowMask) << shift) | k];
+            }
+        }
+        ring = std::move(out);
+    };
+    regrid(window, 0);
+    regrid(operands, slotShift);
+    regrid(memStates, 0);
+    regrid(operandValues, slotShift);
+    regrid(results, 0);
+    regrid(profStates, 0);
+    auto regrid_bits = [&](std::vector<std::uint64_t> &bits) {
         std::vector<std::uint64_t> out(slots / 64, 0);
         for (std::uint64_t s = windowFront; s < nextSeq; ++s) {
             if (bits[(s >> 6) & (windowMask >> 6)] >> (s & 63) & 1)
@@ -224,27 +268,23 @@ RuntimeEngine::growWindow(std::uint64_t needed)
         }
         bits = std::move(out);
     };
-    regrid(candBits);
-    regrid(candLoadBits);
-    regrid(candStoreBits);
+    regrid_bits(candBits);
+    regrid_bits(candLoadBits);
+    regrid_bits(candStoreBits);
     for (auto &bits : candFuBits)
-        regrid(bits);
-    for (std::uint64_t s = windowFront; s < nextSeq; ++s)
-        grown[s & mask] = window[s & windowMask];
-    window = std::move(grown);
+        regrid_bits(bits);
     windowMask = mask;
 }
 
 void
-RuntimeEngine::importBlock(const BasicBlock *block,
-                           const BasicBlock *from)
+RuntimeEngine::importBlock(unsigned block, unsigned from)
 {
-    const StaticBlockInfo &binfo = staticCdfg.blockInfo(block);
+    const StaticBlockInfo &binfo = staticCdfg.blockInfoById(block);
     if (binfo.numInsts > cfg.reservationQueueSize)
         fatal("engine: block '%s' (%zu instructions) exceeds the "
               "reservation queue (%u); raise "
               "DeviceConfig::reservationQueueSize",
-              block->name().c_str(), block->size(),
+              binfo.block->name().c_str(), binfo.block->size(),
               cfg.reservationQueueSize);
     // A branch importing its successor is still unissued here: it
     // holds its slot until the import is done.
@@ -254,55 +294,53 @@ RuntimeEngine::importBlock(const BasicBlock *block,
         pendingImportCtrlSeq = importCtrlSeq;
         return;
     }
-    pendingImport = nullptr;
+    pendingImport = noBlock;
     SALAM_TRACE_AT(RuntimeEngine, obsNow(), observer.name,
                    "import block '%s' (%zu instructions)",
-                   block->name().c_str(), block->size());
+                   binfo.block->name().c_str(), binfo.block->size());
     if (observer.sink) {
         observer.sink->recordInstant(obsNow(), observer.name,
                                      "engine",
-                                     "import " + block->name());
+                                     "import " + binfo.block->name());
     }
 
-    unsigned from_id = 0;
-    bool have_from = false;
-    if (from != nullptr) {
-        from_id = staticCdfg.blockInfo(from).id;
-        have_from = true;
-    }
-
+    const bool values = source == nullptr;
     for (unsigned i = 0; i < binfo.numInsts; ++i) {
         const StaticInstInfo &sinfo =
             staticCdfg.infoById(binfo.firstInstId + i);
-        DynInst *di = createDynInst(sinfo);
+        std::uint64_t seq = createDynInst(sinfo);
+        DynInst &di = at(seq);
+        Operand *ops = operandsOf(seq);
+        RuntimeValue *vals = values ? valuesOf(seq) : nullptr;
 
         // Bind operands from the elaboration-time plans. A Producer
         // plan checks the live-instance table first (RAW edge or
         // in-window result), then falls back to the committed-value
-        // slot; Committed plans go straight there.
-        auto bind_plan = [&](std::size_t slot,
-                             const OperandPlan &plan) {
+        // slot; Committed plans go straight there. Without values
+        // (a trace source) only the RAW edges matter.
+        auto bind_plan = [&](unsigned slot, const OperandPlan &plan) {
             switch (plan.kind) {
               case OperandPlan::Kind::Constant:
-                di->operandValues[slot] = plan.constant;
+                if (values)
+                    vals[slot] = plan.constant;
                 return;
               case OperandPlan::Kind::Control:
                 return; // control references carry no data
               case OperandPlan::Kind::Producer: {
-                DynInst *latest = latestInstance[plan.producerId];
-                if (latest != nullptr && !latest->committed) {
-                    di->producers[slot] = latest;
-                    ++latest->unissuedReaders;
-                    latest->readers.push_back(
-                        {di, static_cast<unsigned>(slot)});
-                    ++di->pendingOperands;
-                    return;
+                std::uint64_t latest = latestInstance[plan.producerId];
+                if (latest == noSeq)
+                    break;
+                DynInst &producer = at(latest);
+                if (!producer.committed) {
+                    ops[slot].producer = latest;
+                    ops[slot].nextReader = producer.firstReader;
+                    producer.firstReader = (seq << slotShift) | slot;
+                    ++producer.unissuedReaders;
+                    ++di.pendingOperands;
+                } else if (values) {
+                    vals[slot] = resultOf(latest);
                 }
-                if (latest != nullptr) {
-                    di->operandValues[slot] = latest->result;
-                    return;
-                }
-                break;
+                return;
               }
               case OperandPlan::Kind::Committed:
                 break;
@@ -311,17 +349,18 @@ RuntimeEngine::importBlock(const BasicBlock *block,
                 panic("engine: operand %%%s of %%%s has no value",
                       sinfo.isPhi
                           ? "phi-incoming"
-                          : di->inst->operand(slot)->name().c_str(),
-                      di->inst->name().c_str());
+                          : sinfo.inst->operand(slot)->name().c_str(),
+                      sinfo.inst->name().c_str());
             }
-            di->operandValues[slot] = committedValues[plan.valueId];
+            if (values)
+                vals[slot] = committedValues[plan.valueId];
         };
 
         if (sinfo.isPhi) {
             const OperandPlan *plan = nullptr;
-            if (have_from) {
+            if (from != noBlock) {
                 for (const auto &[pred_id, p] : sinfo.phiIncoming) {
-                    if (pred_id == from_id) {
+                    if (pred_id == from) {
                         plan = &p;
                         break;
                     }
@@ -329,39 +368,39 @@ RuntimeEngine::importBlock(const BasicBlock *block,
             }
             if (plan == nullptr)
                 panic("phi %%%s has no incoming for edge",
-                      di->inst->name().c_str());
+                      sinfo.inst->name().c_str());
             // Keep exactly one live operand slot for the edge taken.
-            di->producers.assign(1, nullptr);
-            di->operandValues.assign(1, RuntimeValue{});
             bind_plan(0, *plan);
         } else {
-            for (std::size_t o = 0; o < sinfo.operands.size(); ++o)
+            for (unsigned o = 0; o < sinfo.operands.size(); ++o)
                 bind_plan(o, sinfo.operands[o]);
         }
 
         ++unissuedCount;
-        if (di->isMemory()) {
-            di->memSeq = nextMemSeq++;
-            (di->isLoad ? unresolvedLoads : unresolvedStores)
-                .push_back(di->seq);
+        const StaticFacts &f = facts[sinfo.id];
+        if (f.isMemory()) {
+            memOf(seq) = MemState{0, nextMemSeq++, 0, 0, 0};
+            (f.kind == opLoad ? unresolvedLoads : unresolvedStores)
+                .push_back(seq);
             snapDirty = true;
             // A pointer known at import resolves at the first scan
             // past the import fence.
-            if (di->producers[di->isLoad ? 0 : 1] == nullptr)
-                scheduleResolve(di, di->minIssueCycle);
+            if (ops[f.ptrSlot()].producer == noSeq)
+                scheduleResolve(seq, di.minIssueCycle);
         }
-        maybeCandidate(di);
+        maybeCandidate(seq);
     }
 }
 
 void
-RuntimeEngine::maybeCandidate(DynInst *di)
+RuntimeEngine::maybeCandidate(std::uint64_t seq)
 {
-    if (di->issued || di->pendingOperands != 0)
+    const DynInst &di = at(seq);
+    if (di.issued || di.pendingOperands != 0)
         return;
-    const StaticFacts &f = factsOf(*di);
-    std::size_t word = (di->seq >> 6) & (windowMask >> 6);
-    std::uint64_t bit = 1ull << (di->seq & 63);
+    const StaticFacts &f = facts[di.staticId];
+    std::size_t word = (seq >> 6) & (windowMask >> 6);
+    std::uint64_t bit = 1ull << (seq & 63);
     if (f.kind == opLoad) {
         candLoadBits[word] |= bit;
     } else if (f.kind == opStore) {
@@ -371,10 +410,10 @@ RuntimeEngine::maybeCandidate(DynInst *di)
         // has not issued or still has unissued readers, whatever
         // the cycle; both conditions only clear (markIssued and
         // captureOperands re-offer the successor then).
-        const DynInst *prev = di->prevInstance;
-        if (pruneVisits && prev != nullptr &&
-            (!prev->issued || prev->unissuedReaders > 0)) {
-            return;
+        if (pruneVisits && di.prevInstance != noSeq) {
+            const DynInst &prev = at(di.prevInstance);
+            if (!prev.issued || prev.unissuedReaders > 0)
+                return;
         }
         if (f.limitedFu != noLimitedFu)
             candFuBits[f.limitedFu][word] |= bit;
@@ -383,11 +422,11 @@ RuntimeEngine::maybeCandidate(DynInst *di)
 }
 
 void
-RuntimeEngine::markIssued(DynInst *di)
+RuntimeEngine::markIssued(std::uint64_t seq)
 {
-    const StaticFacts &f = factsOf(*di);
-    std::size_t word = (di->seq >> 6) & (windowMask >> 6);
-    std::uint64_t keep = ~(1ull << (di->seq & 63));
+    const StaticFacts &f = factsOf(seq);
+    std::size_t word = (seq >> 6) & (windowMask >> 6);
+    std::uint64_t keep = ~(1ull << (seq & 63));
     candBits[word] &= keep;
     if (f.kind == opLoad)
         candLoadBits[word] &= keep;
@@ -396,68 +435,73 @@ RuntimeEngine::markIssued(DynInst *di)
     else if (f.limitedFu != noLimitedFu)
         candFuBits[f.limitedFu][word] &= keep;
     --unissuedCount;
-    offerHandOff(di->nextInstance);
+    offerHandOff(at(seq).nextInstance);
 }
 
 void
-RuntimeEngine::offerHandOff(DynInst *next)
+RuntimeEngine::offerHandOff(std::uint64_t next)
 {
-    if (pruneVisits && next != nullptr && factsOf(*next).handOffGated)
+    if (pruneVisits && next != noSeq && factsOf(next).handOffGated)
         maybeCandidate(next);
 }
 
 void
-RuntimeEngine::captureOperands(DynInst *di)
+RuntimeEngine::captureOperands(std::uint64_t seq)
 {
-    for (std::size_t i = 0; i < di->producers.size(); ++i) {
-        DynInst *producer = di->producers[i];
-        if (producer != nullptr) {
-            SALAM_ASSERT(producer->committed);
-            di->operandValues[i] = producer->result;
-            SALAM_ASSERT(producer->unissuedReaders > 0);
-            // The last reader draining the producer's result may
-            // open its successor instance's FU hand-off.
-            if (--producer->unissuedReaders == 0)
-                offerHandOff(producer->nextInstance);
-            di->producers[i] = nullptr;
-            // Remember the latest-committing producer: it is the
-            // critical data predecessor in the recorded CDFG.
-            if (observer.profiler != nullptr &&
-                (di->prodParentSeq == obs::noProfSeq ||
-                 producer->commitCycle > di->prodReadyCycle ||
-                 (producer->commitCycle == di->prodReadyCycle &&
-                  producer->seq > di->prodParentSeq))) {
-                di->prodReadyCycle = producer->commitCycle;
-                di->prodParentSeq = producer->seq;
+    const unsigned n = factsOf(seq).numSlots;
+    Operand *ops = operandsOf(seq);
+    for (unsigned i = 0; i < n; ++i) {
+        std::uint64_t p = ops[i].producer;
+        if (p == noSeq)
+            continue;
+        DynInst &producer = at(p);
+        SALAM_ASSERT(producer.committed);
+        if (source == nullptr)
+            valuesOf(seq)[i] = resultOf(p);
+        SALAM_ASSERT(producer.unissuedReaders > 0);
+        ops[i].producer = noSeq;
+        // The last reader draining the producer's result may open
+        // its successor instance's FU hand-off.
+        if (--producer.unissuedReaders == 0)
+            offerHandOff(producer.nextInstance);
+        // Remember the latest-committing producer: it is the
+        // critical data predecessor in the recorded CDFG.
+        if (observer.profiler != nullptr) {
+            ProfState &prof = profOf(seq);
+            if (prof.prodParentSeq == obs::noProfSeq ||
+                producer.commitCycle > prof.prodReadyCycle ||
+                (producer.commitCycle == prof.prodReadyCycle &&
+                 p > prof.prodParentSeq)) {
+                prof.prodReadyCycle = producer.commitCycle;
+                prof.prodParentSeq = p;
             }
         }
     }
 }
 
 bool
-RuntimeEngine::fuAvailable(const DynInst &di)
+RuntimeEngine::fuAvailable(std::uint64_t seq)
 {
-    FuType type = di.staticInfo->fu;
-    if (type == FuType::None)
+    const DynInst &di = at(seq);
+    const StaticFacts &f = facts[di.staticId];
+    if (f.fu == FuType::None)
         return true;
 
     // WAW/WAR against the previous instance of this instruction:
     // the shared (or dedicated) unit enforces the initiation
     // interval, and the destination register cannot be rewritten
     // while readers of the previous value are pending.
-    const DynInst *prev = di.prevInstance;
-    if (prev != nullptr) {
-        if (!prev->issued)
+    if (di.prevInstance != noSeq) {
+        const DynInst &prev = at(di.prevInstance);
+        if (!prev.issued)
             return false;
-        if (cycleCount <
-            prev->issueCycle + di.staticInfo->initiationInterval) {
+        if (cycleCount < prev.issueCycle + f.initiationInterval)
             return false;
-        }
-        if (prev->unissuedReaders > 0)
+        if (prev.unissuedReaders > 0)
             return false;
     }
 
-    std::size_t t = static_cast<std::size_t>(type);
+    std::size_t t = static_cast<std::size_t>(f.fu);
     unsigned limit = cfg.fuLimits[t];
     if (limit == 0)
         return true; // dedicated unit per static instruction
@@ -467,23 +511,22 @@ RuntimeEngine::fuAvailable(const DynInst &di)
     }
     // Units only get busier within a scan: the pool stays exhausted
     // for every later instance of this type this cycle.
-    scan.fuClosed |= 1u << factsOf(di).limitedFu;
+    scan.fuClosed |= 1u << f.limitedFu;
     return false;
 }
 
 void
-RuntimeEngine::occupyFu(DynInst *di)
+RuntimeEngine::occupyFu(const StaticFacts &f)
 {
-    FuType type = di->staticInfo->fu;
-    if (type == FuType::None)
+    if (f.fu == FuType::None)
         return;
-    std::size_t t = static_cast<std::size_t>(type);
+    std::size_t t = static_cast<std::size_t>(f.fu);
     unsigned limit = cfg.fuLimits[t];
     if (limit == 0)
         return; // dedicated: II enforced via prevInstance
     for (auto &free_at : poolFreeAt[t]) {
         if (free_at <= cycleCount) {
-            free_at = cycleCount + di->staticInfo->initiationInterval;
+            free_at = cycleCount + f.initiationInterval;
             return;
         }
     }
@@ -491,55 +534,54 @@ RuntimeEngine::occupyFu(DynInst *di)
 }
 
 void
-RuntimeEngine::scheduleResolve(DynInst *di, std::uint64_t due)
+RuntimeEngine::scheduleResolve(std::uint64_t seq, std::uint64_t due)
 {
     if (inScan && due <= cycleCount)
-        resolveAddress(di);
+        resolveAddress(seq);
     else
-        dueResolves.push_back({due, di});
+        dueResolves.push_back({due, seq});
 }
 
 void
-RuntimeEngine::resolveAddress(DynInst *di)
+RuntimeEngine::resolveAddress(std::uint64_t seq)
 {
-    if (di->addrKnown)
+    DynInst &di = at(seq);
+    if (di.addrKnown)
         return;
-    std::size_t ptr_slot = di->isLoad ? 0 : 1;
-    const DynInst *producer = di->producers[ptr_slot];
-    SALAM_ASSERT(producer == nullptr || producer->committed);
-    RuntimeValue addr = producer == nullptr
-        ? di->operandValues[ptr_slot]
-        : producer->result;
-    di->memAddr = addr.bits;
-    if (di->isLoad) {
-        di->memSize = static_cast<unsigned>(
-            di->inst->type()->storeSize());
+    const StaticFacts &f = facts[di.staticId];
+    MemState &mem = memOf(seq);
+    if (source != nullptr) {
+        mem.addr = source->insts[seq].memAddr;
     } else {
-        const auto *store =
-            static_cast<const StoreInst *>(di->inst);
-        di->memSize = static_cast<unsigned>(
-            store->value()->type()->storeSize());
+        unsigned ptr = f.ptrSlot();
+        std::uint64_t producer = operandsOf(seq)[ptr].producer;
+        SALAM_ASSERT(producer == noSeq || at(producer).committed);
+        mem.addr = producer == noSeq ? valuesOf(seq)[ptr].bits
+                                     : resultOf(producer).bits;
     }
-    di->addrKnown = true;
+    mem.size = f.memSize;
+    di.addrKnown = true;
     snapDirty = true;
-    std::vector<MemRef> &known = di->isLoad ? knownLoads : knownStores;
-    di->knownIndex = static_cast<std::uint32_t>(known.size());
-    known.push_back({di->memSeq, di->memAddr, di->memSize, di});
+    std::vector<MemRef> &known =
+        f.kind == opLoad ? knownLoads : knownStores;
+    mem.knownIndex = static_cast<std::uint32_t>(known.size());
+    known.push_back({mem.memSeq, mem.addr, mem.size, seq});
     if (capture != nullptr) {
-        DynTraceInst &rec = capture->insts[di->seq];
-        rec.memAddr = di->memAddr;
-        rec.memSize = di->memSize;
+        DynTraceInst &rec = capture->insts[seq];
+        rec.memAddr = mem.addr;
+        rec.memSize = mem.size;
     }
 }
 
 void
-RuntimeEngine::forgetAddress(DynInst *di)
+RuntimeEngine::forgetAddress(std::uint64_t seq)
 {
-    std::vector<MemRef> &known = di->isLoad ? knownLoads : knownStores;
-    SALAM_ASSERT(di->knownIndex < known.size() &&
-                 known[di->knownIndex].inst == di);
-    known[di->knownIndex] = known.back();
-    known[di->knownIndex].inst->knownIndex = di->knownIndex;
+    std::vector<MemRef> &known =
+        factsOf(seq).kind == opLoad ? knownLoads : knownStores;
+    std::uint32_t index = memOf(seq).knownIndex;
+    SALAM_ASSERT(index < known.size() && known[index].seq == seq);
+    known[index] = known.back();
+    memOf(known[index].seq).knownIndex = index;
     known.pop_back();
 }
 
@@ -548,32 +590,33 @@ RuntimeEngine::refreshOrderingSnapshot()
 {
     auto oldest = [this](std::deque<std::uint64_t> &fifo) {
         while (!fifo.empty() && (fifo.front() < windowFront ||
-                                 atSeq(fifo.front())->addrKnown)) {
+                                 at(fifo.front()).addrKnown)) {
             fifo.pop_front();
         }
-        return fifo.empty() ? never : atSeq(fifo.front())->memSeq;
+        return fifo.empty() ? never : memOf(fifo.front()).memSeq;
     };
     snapUnknownStore = oldest(unresolvedStores);
     snapUnknownLoad = oldest(unresolvedLoads);
 }
 
 bool
-RuntimeEngine::olderOverlapPending(const DynInst &di) const
+RuntimeEngine::olderOverlapPending(std::uint64_t seq, bool is_store) const
 {
     // An older access resolved after this cycle's snapshot is also
     // older than the snapshot's unknown-address minimum, which the
     // caller checked first, so the current lists give the snapshot's
     // answer.
+    const MemState &mem = memOf(seq);
     auto overlaps = [&](const MemRef &ref) {
-        return ref.seq < di.memSeq &&
-            ref.addr < di.memAddr + di.memSize &&
-            di.memAddr < ref.addr + ref.size;
+        return ref.memSeq < mem.memSeq &&
+            ref.addr < mem.addr + mem.size &&
+            mem.addr < ref.addr + ref.size;
     };
     for (const MemRef &store : knownStores) {
         if (overlaps(store))
             return true;
     }
-    if (di.isStore) {
+    if (is_store) {
         for (const MemRef &load : knownLoads) {
             if (overlaps(load))
                 return true;
@@ -583,22 +626,22 @@ RuntimeEngine::olderOverlapPending(const DynInst &di) const
 }
 
 void
-RuntimeEngine::issueCompute(DynInst *di)
+RuntimeEngine::issueCompute(std::uint64_t seq)
 {
+    const StaticFacts &f = factsOf(seq);
     SALAM_TRACE_AT(Issue, obsNow(), observer.name.c_str(),
-                   "issue %s seq=%llu fu=%u",
-                   di->inst->name().c_str(),
-                   (unsigned long long)di->seq,
-                   static_cast<unsigned>(di->staticInfo->fu));
-    captureOperands(di);
-    occupyFu(di);
-    di->issued = true;
-    di->issueCycle = cycleCount;
+                   "issue %s seq=%llu fu=%u", f.inst->name().c_str(),
+                   (unsigned long long)seq,
+                   static_cast<unsigned>(f.fu));
+    captureOperands(seq);
+    occupyFu(f);
+    DynInst &di = at(seq);
+    di.issued = true;
+    di.issueCycle = cycleCount;
     if (observer.sink)
-        di->issueTick = obsNow();
+        profOf(seq).issueTick = obsNow();
 
-    const StaticFacts &f = factsOf(*di);
-    if (di->staticInfo->fu != FuType::None)
+    if (f.fu != FuType::None)
         engineStats.fuEnergyPj += f.fuEnergyPj;
     // Register file activity: operand reads now, result write at
     // commit.
@@ -606,102 +649,115 @@ RuntimeEngine::issueCompute(DynInst *di)
 
     // Functional evaluation happens at issue; the commit of the
     // result is delayed by the unit latency.
-    if (di->inst->opcode() == Opcode::Phi) {
-        di->result = di->operandValues[0];
-    } else if (di->inst->isComputeOp()) {
-        di->result = evalCompute(*di->inst, di->operandValues);
+    if (source == nullptr) {
+        if (f.isPhi) {
+            resultOf(seq) = valuesOf(seq)[0];
+        } else if (f.inst->isComputeOp()) {
+            resultOf(seq) = evalCompute(
+                *f.inst, std::span<const RuntimeValue>(valuesOf(seq),
+                                                       f.numSlots));
+        }
     }
 
-    unsigned latency = di->staticInfo->latency;
-    if (latency == 0) {
-        commit(di);
+    if (f.latency == 0) {
+        commit(seq);
     } else {
-        di->commitCycle = cycleCount + latency;
-        computeQueue.push_back(di);
-        nextCommitDue = std::min(nextCommitDue, di->commitCycle);
-        auto t = static_cast<std::size_t>(di->staticInfo->fu);
+        di.commitCycle = cycleCount + f.latency;
+        computeQueue.push_back(seq);
+        nextCommitDue = std::min(nextCommitDue, di.commitCycle);
+        auto t = static_cast<std::size_t>(f.fu);
         if (fuInflight[t]++ == 0)
             fuInflightTypes |= 1u << t;
     }
 }
 
 void
-RuntimeEngine::commit(DynInst *di)
+RuntimeEngine::commit(std::uint64_t seq)
 {
-    SALAM_ASSERT(!di->committed);
-    di->committed = true;
+    DynInst &di = at(seq);
+    const StaticFacts &f = facts[di.staticId];
+    SALAM_ASSERT(!di.committed);
+    di.committed = true;
     ++engineStats.committedInstructions;
     // The engine is ticked every cycle while active, so queued
     // compute ops reach here exactly at their scheduled cycle; for
     // everything else (memory, branches, zero-latency wiring) this
     // is the only place the commit cycle gets stamped.
-    di->commitCycle = cycleCount;
-    if (observer.sink && di->issued &&
-        (di->isMemory() || di->staticInfo->latency > 0)) {
+    di.commitCycle = cycleCount;
+    if (observer.sink && di.issued && (f.isMemory() || f.latency > 0)) {
+        Tick issued_at = profOf(seq).issueTick;
         Tick end = obsNow();
-        Tick dur = end > di->issueTick ? end - di->issueTick : 0;
+        Tick dur = end > issued_at ? end - issued_at : 0;
         observer.sink->recordSlice(
-            di->issueTick, dur, observer.name,
-            di->isMemory() ? "mem" : "compute",
-            di->isLoad ? "load"
-                       : di->isStore ? "store" : di->inst->name());
+            issued_at, dur, observer.name,
+            f.isMemory() ? "mem" : "compute",
+            f.kind == opLoad ? "load"
+                : f.kind == opStore ? "store" : f.inst->name());
     }
-    if (!di->inst->type()->isVoid()) {
-        committedValues[di->staticInfo->resultValueId] = di->result;
-        committedKnown[di->staticInfo->resultValueId] = 1;
-        engineStats.registerWriteEnergyPj += factsOf(*di).writeEnergyPj;
+    if (!f.isVoid) {
+        if (source == nullptr)
+            committedValues[f.resultValueId] = resultOf(seq);
+        committedKnown[f.resultValueId] = 1;
+        engineStats.registerWriteEnergyPj += f.writeEnergyPj;
     }
     if (observer.profiler != nullptr)
-        recordProfile(di);
-    if (di->isMemory())
-        forgetAddress(di);
+        recordProfile(seq);
+    if (f.isMemory())
+        forgetAddress(seq);
 
     // Wake the readers bound to this result. A memory reader's
     // pointer operand resolves its address at the first scan past
     // both this commit and its import fence.
-    for (const DynInst::Reader &reader : di->readers) {
-        DynInst *r = reader.inst;
-        SALAM_ASSERT(r->pendingOperands > 0);
-        --r->pendingOperands;
-        if (r->isMemory() && reader.slot == (r->isLoad ? 0u : 1u))
-            scheduleResolve(r, std::max(cycleCount, r->minIssueCycle));
+    const std::uint64_t slot_mask = (1ull << slotShift) - 1;
+    for (std::uint64_t link = di.firstReader; link != noSeq;) {
+        std::uint64_t r = link >> slotShift;
+        auto slot = static_cast<unsigned>(link & slot_mask);
+        link = operandsOf(r)[slot].nextReader;
+        DynInst &reader = at(r);
+        SALAM_ASSERT(reader.pendingOperands > 0);
+        --reader.pendingOperands;
+        const StaticFacts &rf = facts[reader.staticId];
+        if (rf.isMemory() && slot == rf.ptrSlot())
+            scheduleResolve(r, std::max(cycleCount, reader.minIssueCycle));
         maybeCandidate(r);
     }
-    di->readers.clear();
+    di.firstReader = noSeq;
 }
 
 void
-RuntimeEngine::recordProfile(DynInst *di)
+RuntimeEngine::recordProfile(std::uint64_t seq)
 {
+    const DynInst &di = at(seq);
+    const ProfState &prof = profOf(seq);
     obs::ProfNode node;
-    node.seq = di->seq;
-    node.staticId = di->staticInfo->id;
-    node.issueCycle = di->issueCycle;
-    node.commitCycle = di->commitCycle;
+    node.seq = seq;
+    node.staticId = di.staticId;
+    node.issueCycle = di.issueCycle;
+    node.commitCycle = di.commitCycle;
 
     // The instance became ready when its last constraint cleared:
     // the importing terminator (minIssueCycle fence) or the
     // latest-committing operand producer. Ties go to the data edge —
     // it is the longer dependence chain.
-    node.readyCycle = di->minIssueCycle;
-    if (di->ctrlParentSeq != obs::noProfSeq) {
-        node.parentSeq = di->ctrlParentSeq;
-        node.linkCause = di->ctrlLinkCause;
+    node.readyCycle = di.minIssueCycle;
+    if (prof.ctrlParentSeq != obs::noProfSeq) {
+        node.parentSeq = prof.ctrlParentSeq;
+        node.linkCause = prof.ctrlLinkCause;
     }
-    if (di->prodParentSeq != obs::noProfSeq &&
-        di->prodReadyCycle >= node.readyCycle) {
-        node.readyCycle = di->prodReadyCycle;
-        node.parentSeq = di->prodParentSeq;
+    if (prof.prodParentSeq != obs::noProfSeq &&
+        prof.prodReadyCycle >= node.readyCycle) {
+        node.readyCycle = prof.prodReadyCycle;
+        node.parentSeq = prof.prodParentSeq;
         node.linkCause = obs::ProfCause::DataDep;
     }
     if (node.readyCycle > node.issueCycle)
         node.readyCycle = node.issueCycle;
 
-    node.waitCause = di->waitCause;
-    if (di->isMemory()) {
+    node.waitCause = prof.waitCause;
+    if (factsOf(seq).isMemory()) {
         // Precedence: the most specific memory-system annotation
         // wins; a plain round trip is the default.
-        unsigned flags = di->memServiceFlags;
+        unsigned flags = memOf(seq).serviceFlags;
         if (flags & mem::svcCacheMiss)
             node.execCause = obs::ProfCause::CacheMiss;
         else if (flags & mem::svcBankConflict)
@@ -723,28 +779,36 @@ RuntimeEngine::recordProfile(DynInst *di)
 }
 
 void
-RuntimeEngine::memoryResponse(DynInst *op, const std::uint8_t *data,
-                              unsigned size)
+RuntimeEngine::memoryResponse(std::uint64_t seq, unsigned service_flags,
+                              const std::uint8_t *data, unsigned size)
 {
-    SALAM_ASSERT(op->memInFlight);
+    DynInst &op = at(seq);
+    const StaticFacts &f = facts[op.staticId];
+    MemState &mem = memOf(seq);
+    SALAM_ASSERT(op.memInFlight);
     SALAM_TRACE_AT(RuntimeEngine, obsNow(), observer.name,
                    "%s response seq=%llu addr=0x%llx size=%u",
-                   op->isLoad ? "load" : "store",
-                   (unsigned long long)op->seq,
-                   (unsigned long long)op->memAddr, op->memSize);
-    op->memInFlight = false;
-    if (op->isLoad) {
-        SALAM_ASSERT(size >= op->memSize);
-        std::uint64_t raw = 0;
-        std::memcpy(&raw, data, op->memSize);
-        op->result.bits = RuntimeValue::mask(op->inst->type(), raw);
+                   f.kind == opLoad ? "load" : "store",
+                   (unsigned long long)seq,
+                   (unsigned long long)mem.addr, mem.size);
+    // Surface the memory system's service annotations before the
+    // commit they will be attributed at.
+    mem.serviceFlags = service_flags;
+    op.memInFlight = false;
+    if (f.kind == opLoad) {
+        if (source == nullptr) {
+            SALAM_ASSERT(size >= mem.size);
+            std::uint64_t raw = 0;
+            std::memcpy(&raw, data, mem.size);
+            resultOf(seq).bits = RuntimeValue::mask(f.inst->type(), raw);
+        }
         SALAM_ASSERT(loadsInFlight > 0);
         --loadsInFlight;
     } else {
         SALAM_ASSERT(storesInFlight > 0);
         --storesInFlight;
     }
-    commit(op);
+    commit(seq);
     if (active)
         client.engineRequestTick();
 }
@@ -757,28 +821,26 @@ RuntimeEngine::pruneWindow()
     // result, and a newer instance of the same static instruction
     // has issued (so nothing consults it for WAW/WAR any more).
     while (windowFront < nextSeq) {
-        DynInst *front = atSeq(windowFront);
-        if (!front->committed || front->unissuedReaders > 0)
+        const DynInst &front = at(windowFront);
+        if (!front.committed || front.unissuedReaders > 0)
             break;
-        if (front->nextInstance != nullptr &&
-            !front->nextInstance->issued) {
+        if (front.nextInstance != noSeq &&
+            !at(front.nextInstance).issued) {
             break;
         }
-        if (front->nextInstance == nullptr) {
+        if (front.nextInstance == noSeq) {
             // Still the newest instance of its static instruction:
             // unregister it so later readers bind to the committed
             // value instead. (A future instance then starts without
             // a WAW link to this long-retired one; by then the
             // initiation-interval spacing is trivially satisfied.)
-            DynInst *&latest =
-                latestInstance[front->staticInfo->id];
-            if (latest == front)
-                latest = nullptr;
+            std::uint64_t &latest = latestInstance[front.staticId];
+            if (latest == windowFront)
+                latest = noSeq;
         } else {
-            front->nextInstance->prevInstance = nullptr;
+            at(front.nextInstance).prevInstance = noSeq;
         }
         ++windowFront;
-        releaseDynInst(front);
     }
 }
 
@@ -872,41 +934,45 @@ RuntimeEngine::dumpState(obs::JsonBuilder &json) const
     json.field("stores_in_flight", std::uint64_t(storesInFlight));
     json.field("committed_instructions",
                engineStats.committedInstructions);
-    if (pendingImport)
-        json.field("pending_import", pendingImport->name());
+    if (pendingImport != noBlock) {
+        json.field("pending_import",
+                   staticCdfg.blockInfoById(pendingImport).block->name());
+    }
 
-    auto describe = [&json](const DynInst *di) {
+    auto describe = [&](std::uint64_t seq) {
+        const DynInst &di = at(seq);
+        const StaticFacts &f = facts[di.staticId];
         json.beginObject()
-            .field("seq", di->seq)
-            .field("inst", "%" + di->inst->name())
-            .field("issued", di->issued)
-            .field("committed", di->committed);
-        if (di->isMemory()) {
-            json.field("mem",
-                       di->isLoad ? "load" : "store")
-                .field("addr_known", di->addrKnown)
-                .field("addr", di->memAddr)
-                .field("in_flight", di->memInFlight)
+            .field("seq", seq)
+            .field("inst", "%" + f.inst->name())
+            .field("issued", di.issued)
+            .field("committed", di.committed);
+        if (f.isMemory()) {
+            const MemState &mem = memOf(seq);
+            json.field("mem", f.kind == opLoad ? "load" : "store")
+                .field("addr_known", di.addrKnown)
+                .field("addr", mem.addr)
+                .field("in_flight", di.memInFlight)
                 .field("service_flags",
-                       std::uint64_t(di->memServiceFlags));
+                       std::uint64_t(mem.serviceFlags));
         }
         json.endObject();
     };
 
     json.beginArray("reservation_queue");
     for (std::uint64_t seq = windowFront; seq < nextSeq; ++seq) {
-        if (!atSeq(seq)->issued)
-            describe(atSeq(seq));
+        if (!at(seq).issued)
+            describe(seq);
     }
     json.endArray();
     json.beginArray("compute_queue");
-    for (const DynInst *di : computeQueue)
-        describe(di);
+    for (std::uint64_t seq : computeQueue)
+        describe(seq);
     json.endArray();
     json.beginArray("memory_order");
     for (std::uint64_t seq = windowFront; seq < nextSeq; ++seq) {
-        if (atSeq(seq)->isMemory())
-            describe(atSeq(seq));
+        if (factsOf(seq).isMemory())
+            describe(seq);
     }
     json.endArray();
 }
@@ -926,148 +992,154 @@ RuntimeEngine::finish()
         observer.sink->recordInstant(obsNow(), observer.name,
                                      "engine", "kernel done");
     }
-    if (obs::HostTelemetry *tel = SimContext::current().hostTelemetry())
-        tel->noteArena(arenaHitCount, arenaMissCount);
     client.engineDone();
 }
 
 void
-RuntimeEngine::visitCandidate(DynInst *di)
+RuntimeEngine::issueControl(std::uint64_t seq, const StaticFacts &f)
 {
-    if (di->minIssueCycle > cycleCount)
-        return; // imported this cycle: the fence lifts next cycle
-    const StaticFacts &f = factsOf(*di);
-
-    if (f.kind == opBr) {
-        const auto *br = static_cast<const BranchInst *>(di->inst);
-        captureOperands(di);
-        const BasicBlock *target;
-        if (br->isConditional()) {
-            target = di->operandValues[0].asBool() ? br->ifTrue()
-                                                   : br->ifFalse();
-        } else {
-            target = br->ifTrue();
-        }
-        di->issued = true;
-        di->issueCycle = cycleCount;
-        commit(di);
-        if (capture != nullptr) {
-            capture->insts[di->seq].branchTarget =
-                staticCdfg.blockInfo(target).id;
-        }
-        const BasicBlock *cur = di->inst->parent();
-        if (cfg.blockSequentialImport && target != cur &&
-            pendingImport == nullptr) {
+    captureOperands(seq);
+    DynInst &di = at(seq);
+    di.issued = true;
+    di.issueCycle = cycleCount;
+    if (f.kind == opRet) {
+        if (source == nullptr && f.numSlots == 1)
+            resultOf(seq) = valuesOf(seq)[0];
+        commit(seq);
+        retSeen = true;
+    } else {
+        unsigned target;
+        if (source != nullptr)
+            target = source->insts[seq].branchTarget;
+        else if (f.ifFalse == noBlock || valuesOf(seq)[0].asBool())
+            target = f.ifTrue;
+        else
+            target = f.ifFalse;
+        commit(seq);
+        if (capture != nullptr)
+            capture->insts[seq].branchTarget = target;
+        if (cfg.blockSequentialImport && target != f.block &&
+            pendingImport == noBlock) {
             // Defer the state transition until drain.
             pendingImport = target;
-            pendingImportFrom = cur;
-            pendingImportCtrlSeq = di->seq;
+            pendingImportFrom = f.block;
+            pendingImportCtrlSeq = seq;
         } else {
-            importCtrlSeq = di->seq;
-            importBlock(target, cur);
+            importCtrlSeq = seq;
+            importBlock(target, f.block);
             importCtrlSeq = obs::noProfSeq;
         }
-        markIssued(di);
-        scan.issuedAny = true;
-        ++engineStats.otherOpsIssued;
-        if (observer.issueClasses)
-            observer.issueClasses->add(laneOther);
-        return;
     }
-    if (f.kind == opRet) {
-        captureOperands(di);
-        if (di->inst->numOperands() == 1)
-            di->result = di->operandValues[0];
-        di->issued = true;
-        di->issueCycle = cycleCount;
-        commit(di);
-        retSeen = true;
-        markIssued(di);
-        scan.issuedAny = true;
-        ++engineStats.otherOpsIssued;
-        if (observer.issueClasses)
-            observer.issueClasses->add(laneOther);
-        return;
-    }
+    markIssued(seq);
+    scan.issuedAny = true;
+    ++engineStats.otherOpsIssued;
+    if (observer.issueClasses)
+        observer.issueClasses->add(laneOther);
+}
 
-    if (f.kind == opLoad || f.kind == opStore) {
-        // The pointer committed and the fence lifted by now, so the
-        // address resolved at the latest at the start of this scan.
-        SALAM_ASSERT(di->addrKnown);
-        bool is_load = f.kind == opLoad;
-        // Unknown-address older stores block everything younger;
-        // unknown older loads block younger stores. Candidates come
-        // in memory order, so the first op the snapshot blocks
-        // closes its classes for the rest of the scan.
-        if (snapUnknownStore < di->memSeq) {
-            di->waitCause = obs::ProfCause::MemOrdering;
-            scan.loadsOrdered = scan.storesOrdered = true;
-            return;
-        }
-        if (!is_load && snapUnknownLoad < di->memSeq) {
-            di->waitCause = obs::ProfCause::MemOrdering;
-            scan.storesOrdered = true;
-            return;
-        }
-        if (olderOverlapPending(*di)) {
-            di->waitCause = obs::ProfCause::MemOrdering;
-            return;
-        }
-        if (is_load && (scan.loads >= cfg.readPortsPerCycle ||
-                        loadsInFlight >= cfg.readQueueSize)) {
-            scan.loadBlocked = true;
-            di->waitCause = obs::ProfCause::MemPort;
-            return;
-        }
-        if (!is_load && (scan.stores >= cfg.writePortsPerCycle ||
-                         storesInFlight >= cfg.writeQueueSize)) {
-            scan.storeBlocked = true;
-            di->waitCause = obs::ProfCause::MemPort;
-            return;
-        }
-        captureOperands(di);
-        if (!client.engineIssueMemory(di)) {
-            // Interface refused; operands stay captured, retry next
-            // cycle (captureOperands is idempotent once producers
-            // are cleared).
-            di->waitCause = obs::ProfCause::MemPort;
-            return;
-        }
-        di->issued = true;
-        di->issueCycle = cycleCount;
-        di->memInFlight = true;
-        markIssued(di);
-        if (observer.sink)
-            di->issueTick = obsNow();
-        SALAM_TRACE_AT(Issue, obsNow(), observer.name,
-                       "issue %s seq=%llu addr=0x%llx size=%u",
-                       is_load ? "load" : "store",
-                       (unsigned long long)di->seq,
-                       (unsigned long long)di->memAddr, di->memSize);
-        if (is_load) {
-            ++loadsInFlight;
-            ++scan.loads;
-            ++engineStats.loadsIssued;
-            if (observer.issueClasses)
-                observer.issueClasses->add(laneLoad);
-        } else {
-            ++storesInFlight;
-            ++scan.stores;
-            ++engineStats.storesIssued;
-            if (observer.issueClasses)
-                observer.issueClasses->add(laneStore);
-        }
-        scan.issuedAny = true;
+void
+RuntimeEngine::issueMemory(std::uint64_t seq, const StaticFacts &f)
+{
+    // The pointer committed and the fence lifted by now, so the
+    // address resolved at the latest at the start of this scan.
+    SALAM_ASSERT(at(seq).addrKnown);
+    bool is_load = f.kind == opLoad;
+    const MemState &mem = memOf(seq);
+    // Unknown-address older stores block everything younger;
+    // unknown older loads block younger stores. Candidates come
+    // in memory order, so the first op the snapshot blocks
+    // closes its classes for the rest of the scan.
+    if (snapUnknownStore < mem.memSeq) {
+        noteWait(seq, obs::ProfCause::MemOrdering);
+        scan.loadsOrdered = scan.storesOrdered = true;
+        return;
+    }
+    if (!is_load && snapUnknownLoad < mem.memSeq) {
+        noteWait(seq, obs::ProfCause::MemOrdering);
+        scan.storesOrdered = true;
+        return;
+    }
+    if (olderOverlapPending(seq, !is_load)) {
+        noteWait(seq, obs::ProfCause::MemOrdering);
+        return;
+    }
+    if (is_load && (scan.loads >= cfg.readPortsPerCycle ||
+                    loadsInFlight >= cfg.readQueueSize)) {
+        scan.loadBlocked = true;
+        noteWait(seq, obs::ProfCause::MemPort);
+        return;
+    }
+    if (!is_load && (scan.stores >= cfg.writePortsPerCycle ||
+                     storesInFlight >= cfg.writeQueueSize)) {
+        scan.storeBlocked = true;
+        noteWait(seq, obs::ProfCause::MemPort);
+        return;
+    }
+    captureOperands(seq);
+    MemRequest req;
+    req.seq = seq;
+    req.addr = mem.addr;
+    req.size = mem.size;
+    req.isLoad = is_load;
+    // Store data is operand 0 of the store instruction.
+    if (!is_load && source == nullptr)
+        req.storeData = valuesOf(seq)[0].bits;
+    if (!client.engineIssueMemory(req)) {
+        // Interface refused; operands stay captured, retry next
+        // cycle (captureOperands is idempotent once producers
+        // are cleared).
+        noteWait(seq, obs::ProfCause::MemPort);
+        return;
+    }
+    DynInst &di = at(seq);
+    di.issued = true;
+    di.issueCycle = cycleCount;
+    di.memInFlight = true;
+    markIssued(seq);
+    if (observer.sink)
+        profOf(seq).issueTick = obsNow();
+    SALAM_TRACE_AT(Issue, obsNow(), observer.name,
+                   "issue %s seq=%llu addr=0x%llx size=%u",
+                   is_load ? "load" : "store", (unsigned long long)seq,
+                   (unsigned long long)mem.addr, mem.size);
+    if (is_load) {
+        ++loadsInFlight;
+        ++scan.loads;
+        ++engineStats.loadsIssued;
+        if (observer.issueClasses)
+            observer.issueClasses->add(laneLoad);
+    } else {
+        ++storesInFlight;
+        ++scan.stores;
+        ++engineStats.storesIssued;
+        if (observer.issueClasses)
+            observer.issueClasses->add(laneStore);
+    }
+    scan.issuedAny = true;
+}
+
+void
+RuntimeEngine::visitCandidate(std::uint64_t seq)
+{
+    if (at(seq).minIssueCycle > cycleCount)
+        return; // imported this cycle: the fence lifts next cycle
+    const StaticFacts &f = factsOf(seq);
+    if (f.kind == opBr || f.kind == opRet) {
+        issueControl(seq, f);
+        return;
+    }
+    if (f.isMemory()) {
+        issueMemory(seq, f);
         return;
     }
 
     // Compute ops (including phi and zero-latency wiring).
-    if (!fuAvailable(*di)) {
-        di->waitCause = obs::ProfCause::FuContention;
+    if (!fuAvailable(seq)) {
+        noteWait(seq, obs::ProfCause::FuContention);
         return;
     }
-    issueCompute(di);
-    markIssued(di);
+    issueCompute(seq);
+    markIssued(seq);
     scan.issuedAny = true;
     if (f.lane == laneFp) {
         ++scan.fp;
@@ -1096,17 +1168,17 @@ RuntimeEngine::cycle()
     if (cycleCount >= nextCommitDue) {
         nextCommitDue = never;
         for (std::size_t i = 0; i < computeQueue.size();) {
-            DynInst *op = computeQueue[i];
-            if (op->commitCycle <= cycleCount) {
-                auto t = static_cast<std::size_t>(op->staticInfo->fu);
+            std::uint64_t seq = computeQueue[i];
+            std::uint64_t due = at(seq).commitCycle;
+            if (due <= cycleCount) {
+                auto t = static_cast<std::size_t>(factsOf(seq).fu);
                 if (--fuInflight[t] == 0)
                     fuInflightTypes &= ~(1u << t);
-                commit(op);
+                commit(seq);
                 computeQueue[i] = computeQueue.back();
                 computeQueue.pop_back();
             } else {
-                nextCommitDue = std::min(nextCommitDue,
-                                         op->commitCycle);
+                nextCommitDue = std::min(nextCommitDue, due);
                 ++i;
             }
         }
@@ -1115,7 +1187,7 @@ RuntimeEngine::cycle()
     // 2. Retry a deferred block import. Under block-sequential
     //    scheduling a cross-block import additionally waits for the
     //    pipeline to drain (FSM state-transition semantics).
-    if (pendingImport != nullptr) {
+    if (pendingImport != noBlock) {
         bool drained = unissuedCount == 0 && computeQueue.empty() &&
             loadsInFlight == 0 && storesInFlight == 0;
         if (!cfg.blockSequentialImport || drained ||
@@ -1131,12 +1203,12 @@ RuntimeEngine::cycle()
             importBlock(pendingImport, pendingImportFrom);
             importCtrlSeq = obs::noProfSeq;
             importCtrlCause = obs::ProfCause::Control;
-            if (pendingImport == nullptr) {
+            if (pendingImport == noBlock) {
                 importMemWaitCycles = 0;
                 importOtherWaitCycles = 0;
             }
         }
-        if (pendingImport != nullptr) {
+        if (pendingImport != noBlock) {
             // Memory holds the import back either as in-flight ops
             // or as ready ops the ports refused last cycle.
             if (loadsInFlight + storesInFlight > 0 ||
@@ -1157,10 +1229,10 @@ RuntimeEngine::cycle()
     }
     for (std::size_t i = 0; i < dueResolves.size();) {
         if (dueResolves[i].first <= cycleCount) {
-            DynInst *di = dueResolves[i].second;
+            std::uint64_t seq = dueResolves[i].second;
             dueResolves[i] = dueResolves.back();
             dueResolves.pop_back();
-            resolveAddress(di);
+            resolveAddress(seq);
         } else {
             ++i;
         }
@@ -1176,7 +1248,7 @@ RuntimeEngine::cycle()
     scan = ScanState{};
     inScan = true;
     firstUnissued = std::max(firstUnissued, windowFront);
-    while (firstUnissued < nextSeq && atSeq(firstUnissued)->issued)
+    while (firstUnissued < nextSeq && at(firstUnissued).issued)
         ++firstUnissued;
     std::uint64_t wi = firstUnissued >> 6;
     std::uint64_t mask = ~0ull << (firstUnissued & 63);
@@ -1202,7 +1274,7 @@ RuntimeEngine::cycle()
         }
         auto b = static_cast<unsigned>(std::countr_zero(w));
         mask = b == 63 ? 0 : ~0ull << (b + 1);
-        visitCandidate(atSeq((wi << 6) | b));
+        visitCandidate((wi << 6) | b);
     }
     inScan = false;
 
@@ -1221,7 +1293,7 @@ RuntimeEngine::cycle()
     //    and every queue has drained.
     if (retSeen && unissuedCount == 0 && computeQueue.empty() &&
         loadsInFlight == 0 && storesInFlight == 0 &&
-        pendingImport == nullptr) {
+        pendingImport == noBlock) {
         finish();
         return;
     }

@@ -59,127 +59,22 @@
 namespace salam::core
 {
 
-/** One dynamic instruction in flight. */
-struct DynInst
+/** The seq (and reader link) that names no instance. */
+inline constexpr std::uint64_t noSeq = ~std::uint64_t(0);
+
+/**
+ * One memory operation the engine hands its client. The instance
+ * stays in the engine's window; the client names it by @p seq when
+ * it delivers the response.
+ */
+struct MemRequest
 {
-    const ir::Instruction *inst = nullptr;
-    const StaticInstInfo *staticInfo = nullptr;
     std::uint64_t seq = 0;
-
-    /** First cycle this instance may issue (block-import fence). */
-    std::uint64_t minIssueCycle = 0;
-
-    bool issued = false;
-    bool committed = false;
-
-    /** Dynamic consumers that have not issued yet (WAR tracking). */
-    unsigned unissuedReaders = 0;
-
-    /** Previous dynamic instance of the same static instruction. */
-    DynInst *prevInstance = nullptr;
-
-    /** Next dynamic instance (for safe window retirement). */
-    DynInst *nextInstance = nullptr;
-
-    /** Producer instance for each operand (null when committed). */
-    std::vector<DynInst *> producers;
-
-    /** Producers in `producers` that have not committed yet. */
-    unsigned pendingOperands = 0;
-
-    /** One reader bound to this instance's result at import. */
-    struct Reader
-    {
-        DynInst *inst;
-        unsigned slot;
-    };
-
-    /** Readers with a live RAW edge here, notified at commit. */
-    std::vector<Reader> readers;
-
-    /** Captured operand values (filled at issue). */
-    std::vector<ir::RuntimeValue> operandValues;
-
-    ir::RuntimeValue result;
-
-    /** Cycle the result commits (valid once issued, compute ops). */
-    std::uint64_t commitCycle = 0;
-    std::uint64_t issueCycle = 0;
-
-    /** Tick at issue (recorded only while event tracing is on). */
-    Tick issueTick = 0;
-
-    // Memory-op state.
+    std::uint64_t addr = 0;
+    unsigned size = 0;
     bool isLoad = false;
-    bool isStore = false;
-    bool addrKnown = false;
-    bool memInFlight = false;
-    std::uint64_t memAddr = 0;
-    unsigned memSize = 0;
-    /** Position in program memory order (disambiguation). */
-    std::uint64_t memSeq = 0;
-    /** Index in the engine's resolved-address list while listed. */
-    std::uint32_t knownIndex = 0;
-
-    // Profiling state, maintained only while a profiler is attached.
-    /** Commit cycle of the latest dynamic operand producer. */
-    std::uint64_t prodReadyCycle = 0;
-    /** That producer's seq; obs::noProfSeq without one. */
-    std::uint64_t prodParentSeq = obs::noProfSeq;
-    /** Seq of the terminator that imported this instance. */
-    std::uint64_t ctrlParentSeq = obs::noProfSeq;
-    /**
-     * Cause for the control link segment. Control for a prompt
-     * import; a memory cause when the import was deferred mostly
-     * behind in-flight memory operations.
-     */
-    obs::ProfCause ctrlLinkCause = obs::ProfCause::Control;
-    /** Last reason this instance was seen blocked while ready. */
-    obs::ProfCause waitCause = obs::ProfCause::DataDep;
-    /** mem::Packet service annotations copied from the response. */
-    unsigned memServiceFlags = 0;
-
-    bool isMemory() const { return isLoad || isStore; }
-
-    /**
-     * Return to freshly-constructed state, keeping the capacity of
-     * the producer/operand vectors (freelist-arena recycling).
-     */
-    void
-    reset()
-    {
-        inst = nullptr;
-        staticInfo = nullptr;
-        seq = 0;
-        minIssueCycle = 0;
-        issued = false;
-        committed = false;
-        unissuedReaders = 0;
-        prevInstance = nullptr;
-        nextInstance = nullptr;
-        producers.clear();
-        pendingOperands = 0;
-        readers.clear();
-        operandValues.clear();
-        result = ir::RuntimeValue{};
-        commitCycle = 0;
-        issueCycle = 0;
-        issueTick = 0;
-        isLoad = false;
-        isStore = false;
-        addrKnown = false;
-        memInFlight = false;
-        memAddr = 0;
-        memSize = 0;
-        memSeq = 0;
-        knownIndex = 0;
-        prodReadyCycle = 0;
-        prodParentSeq = obs::noProfSeq;
-        ctrlParentSeq = obs::noProfSeq;
-        ctrlLinkCause = obs::ProfCause::Control;
-        waitCause = obs::ProfCause::DataDep;
-        memServiceFlags = 0;
-    }
+    /** Store data in the low @p size bytes (0 under a trace source). */
+    std::uint64_t storeData = 0;
 };
 
 /** Per-run statistics, the raw material for Figs. 13-15. */
@@ -275,9 +170,10 @@ struct EngineObserver
 
 /**
  * The owner-side interface the engine calls into (ComputeUnit in a
- * full system, a scripted stub in unit tests). A narrow virtual
- * interface instead of per-call std::function hooks: these are the
- * engine's hottest upcalls (every memory issue, every cycle).
+ * full system, the trace replay's scratchpad model in the fast path).
+ * A narrow virtual interface instead of per-call std::function hooks:
+ * these are the engine's hottest upcalls (every memory issue, every
+ * cycle).
  */
 class EngineClient
 {
@@ -285,11 +181,10 @@ class EngineClient
     virtual ~EngineClient() = default;
 
     /**
-     * Issue a memory operation to the communications interface.
-     * For stores, op->operandValues[0] holds the data. Returns
-     * false when the interface cannot accept it this cycle.
+     * Issue the memory operation @p req. Returns false when the
+     * client cannot accept it this cycle.
      */
-    virtual bool engineIssueMemory(DynInst *op) = 0;
+    virtual bool engineIssueMemory(const MemRequest &req) = 0;
 
     /** Called when the engine has future work to do. */
     virtual void engineRequestTick() = 0;
@@ -312,11 +207,13 @@ class RuntimeEngine
     void cycle();
 
     /**
-     * Deliver a memory response for @p op. Loads carry @p data of
-     * @p size bytes. May arrive between engine cycles.
+     * Deliver the memory response for instance @p seq, carrying the
+     * memory system's mem::Packet service annotations. Loads carry
+     * @p data of @p size bytes (none under a trace source). May
+     * arrive between engine cycles.
      */
-    void memoryResponse(DynInst *op, const std::uint8_t *data,
-                        unsigned size);
+    void memoryResponse(std::uint64_t seq, unsigned service_flags,
+                        const std::uint8_t *data, unsigned size);
 
     bool running() const { return active; }
 
@@ -350,6 +247,17 @@ class RuntimeEngine
      * caller's.
      */
     void setTraceCapture(DynTrace *trace) { capture = trace; }
+
+    /**
+     * Take operands from @p trace instead of evaluating them (the
+     * trace-reuse fast path): branch targets and effective addresses
+     * come from its records, compute ops are not evaluated, and
+     * loads carry no data. The schedule is the one a full run of the
+     * traced execution produces. @p trace must have been validated
+     * against this CDFG (drive::buildReplayPrep). Attach before
+     * start().
+     */
+    void setTraceSource(const DynTrace *trace) { source = trace; }
 
     /** Lane names for EngineObserver::stallCauses, in lane order. */
     static const std::vector<std::string> &stallLaneNames();
@@ -402,6 +310,87 @@ class RuntimeEngine
 
     static constexpr std::uint8_t noLimitedFu = 0xff;
     static constexpr std::uint64_t never = ~0ull;
+    static constexpr unsigned noBlock = ~0u;
+
+    /**
+     * One dynamic instance, kept by value in the window ring at slot
+     * seq & windowMask: one cache line, no heap storage. Links are
+     * seqs (noSeq: none). Its operand slots, memory state, values
+     * and profiling state live in parallel rings at the same slot.
+     */
+    struct DynInst
+    {
+        /** First cycle this instance may issue (block-import fence). */
+        std::uint64_t minIssueCycle;
+        std::uint64_t issueCycle;
+        /** Cycle the result commits (valid once issued). */
+        std::uint64_t commitCycle;
+        /** Previous and next in-window instance of the same static
+         * instruction (WAW/WAR hand-off and safe retirement). */
+        std::uint64_t prevInstance;
+        std::uint64_t nextInstance;
+        /** Head of the list of readers bound to this result, as a
+         * reader link (see Operand::nextReader). */
+        std::uint64_t firstReader;
+        std::uint32_t staticId;
+        /** Producers in the operand slots that have not committed. */
+        std::uint32_t pendingOperands;
+        /** Dynamic consumers that have not issued yet (WAR). */
+        std::uint32_t unissuedReaders;
+        bool issued;
+        bool committed;
+        bool addrKnown;
+        bool memInFlight;
+    };
+
+    /** One operand slot of an instance. */
+    struct Operand
+    {
+        /** Uncommitted producer bound at import; noSeq once captured. */
+        std::uint64_t producer;
+        /**
+         * Next reader of the same producer, as a link
+         * (seq << slotShift | slot); noSeq ends the list.
+         */
+        std::uint64_t nextReader;
+    };
+
+    /** A memory op's address state. */
+    struct MemState
+    {
+        std::uint64_t addr;
+        /** Position in program memory order (disambiguation). */
+        std::uint64_t memSeq;
+        unsigned size;
+        /** Index in the resolved-address list while listed. */
+        std::uint32_t knownIndex;
+        /** mem::Packet service annotations copied from the response. */
+        unsigned serviceFlags;
+    };
+
+    /**
+     * Instance state read only by a profiler or a trace sink, kept
+     * only while one is attached.
+     */
+    struct ProfState
+    {
+        /** Tick at issue (trace sink). */
+        Tick issueTick = 0;
+        /** Commit cycle of the latest dynamic operand producer. */
+        std::uint64_t prodReadyCycle = 0;
+        /** That producer's seq; obs::noProfSeq without one. */
+        std::uint64_t prodParentSeq = obs::noProfSeq;
+        /** Seq of the terminator that imported this instance. */
+        std::uint64_t ctrlParentSeq = obs::noProfSeq;
+        /**
+         * Cause for the control link segment. Control for a prompt
+         * import; a memory cause when the import was deferred mostly
+         * behind in-flight memory operations.
+         */
+        obs::ProfCause ctrlLinkCause = obs::ProfCause::Control;
+        /** Last reason this instance was seen blocked while ready. */
+        obs::ProfCause waitCause = obs::ProfCause::DataDep;
+    };
 
     /** Per-static-instruction facts hoisted out of the issue path. */
     struct StaticFacts
@@ -411,22 +400,42 @@ class RuntimeEngine
         /** Result bits × write energy; 0 for void results. */
         double writeEnergyPj = 0.0;
         double fuEnergyPj = 0.0;
+        const ir::Instruction *inst = nullptr;
+        unsigned resultValueId = 0;
+        unsigned latency = 0;
+        unsigned initiationInterval = 1;
+        /** Access size in bytes (loads and stores). */
+        unsigned memSize = 0;
+        /** Block ids: the parent, and a branch's two successors. */
+        unsigned block = 0;
+        unsigned ifTrue = noBlock;
+        unsigned ifFalse = noBlock;
+        hw::FuType fu = hw::FuType::None;
         OpKind kind = opCompute;
         /** Compute ops: laneFp, laneInt or laneOther. */
-        IssueLane lane = laneOther;
+        std::uint8_t lane = laneOther;
         /** Dense index among limited FU pools; noLimitedFu if none. */
         std::uint8_t limitedFu = noLimitedFu;
+        /** Operand slots an instance binds (phis keep one). */
+        std::uint8_t numSlots = 0;
         /** FU-bound compute op: issue waits for the FU hand-off. */
         bool handOffGated = false;
+        bool isVoid = true;
+        bool isPhi = false;
+
+        bool isMemory() const { return kind == opLoad || kind == opStore; }
+
+        /** Slot holding a load's or store's pointer. */
+        unsigned ptrSlot() const { return kind == opLoad ? 0 : 1; }
     };
 
     /** One resolved, uncommitted memory reference. */
     struct MemRef
     {
-        std::uint64_t seq;
+        std::uint64_t memSeq;
         std::uint64_t addr;
         unsigned size;
-        DynInst *inst;
+        std::uint64_t seq;
     };
 
     /** Per-cycle issue bookkeeping, reset at every scan. */
@@ -452,25 +461,60 @@ class RuntimeEngine
     {
         return observer.now ? observer.now() : Tick{cycleCount};
     }
-    /** Import @p block's instructions into the reservation queue. */
-    void importBlock(const ir::BasicBlock *block,
-                     const ir::BasicBlock *from);
+
+    /** Import block @p block's instructions into the reservation
+     * queue, entered from block @p from (noBlock at the entry). */
+    void importBlock(unsigned block, unsigned from);
 
     /** Create the dynamic instance of @p info's instruction. */
-    DynInst *createDynInst(const StaticInstInfo &info);
+    std::uint64_t createDynInst(const StaticInstInfo &info);
 
-    /** Pop a recycled DynInst from the arena (or grow it). */
-    DynInst *acquireDynInst();
+    DynInst &at(std::uint64_t seq) { return window[seq & windowMask]; }
 
-    /** Return a retired DynInst to the arena freelist. */
-    void releaseDynInst(DynInst *di) { freeList.push_back(di); }
+    const DynInst &
+    at(std::uint64_t seq) const
+    {
+        return window[seq & windowMask];
+    }
 
-    const StaticFacts &factsOf(const DynInst &di) const
-    { return facts[di.staticInfo->id]; }
+    const StaticFacts &factsOf(std::uint64_t seq) const
+    { return facts[at(seq).staticId]; }
 
-    /** The in-window instance with sequence number @p seq. */
-    DynInst *atSeq(std::uint64_t seq) const
-    { return window[seq & windowMask]; }
+    Operand *
+    operandsOf(std::uint64_t seq)
+    {
+        return &operands[(seq & windowMask) << slotShift];
+    }
+
+    /** Operand values of @p seq (without a trace source only). */
+    ir::RuntimeValue *
+    valuesOf(std::uint64_t seq)
+    {
+        return &operandValues[(seq & windowMask) << slotShift];
+    }
+
+    ir::RuntimeValue &resultOf(std::uint64_t seq)
+    { return results[seq & windowMask]; }
+
+    MemState &memOf(std::uint64_t seq)
+    { return memStates[seq & windowMask]; }
+
+    const MemState &
+    memOf(std::uint64_t seq) const
+    {
+        return memStates[seq & windowMask];
+    }
+
+    ProfState &profOf(std::uint64_t seq)
+    { return profStates[seq & windowMask]; }
+
+    /** Record why ready @p seq did not issue (profiler only). */
+    void
+    noteWait(std::uint64_t seq, obs::ProfCause cause)
+    {
+        if (observer.profiler != nullptr)
+            profOf(seq).waitCause = cause;
+    }
 
     /**
      * Make room in the window ring for sequence number @p seq. One
@@ -484,63 +528,69 @@ class RuntimeEngine
             growWindow(seq + 1 - windowFront + 64);
     }
 
-    /** Re-lay the ring and candidate bitmaps over >= @p slots. */
+    /** Re-lay the rings and candidate bitmaps over >= @p slots. */
     void growWindow(std::uint64_t slots);
 
     /**
-     * Enter @p di into the issue-candidate set once its operands
+     * Enter @p seq into the issue-candidate set once its operands
      * have committed. Without a profiler, an FU-bound compute op
      * also waits for its previous instance's hand-off (issued, with
      * every reader of its result issued).
      */
-    void maybeCandidate(DynInst *di);
+    void maybeCandidate(std::uint64_t seq);
 
     /** Leave the candidate set and the reservation count at issue. */
-    void markIssued(DynInst *di);
+    void markIssued(std::uint64_t seq);
 
     /**
-     * Re-offer @p next (may be null) once its predecessor issued or
+     * Re-offer @p next (may be noSeq) once its predecessor issued or
      * drained its readers, if its candidacy waits for the hand-off.
      */
-    void offerHandOff(DynInst *next);
+    void offerHandOff(std::uint64_t next);
 
     /** Capture operand values (producers committed by now). */
-    void captureOperands(DynInst *di);
+    void captureOperands(std::uint64_t seq);
 
-    bool fuAvailable(const DynInst &di);
+    bool fuAvailable(std::uint64_t seq);
 
-    void occupyFu(DynInst *di);
+    void occupyFu(const StaticFacts &f);
 
     /**
-     * Resolve @p di's address at cycle @p due: in the running scan
+     * Resolve @p seq's address at cycle @p due: in the running scan
      * when due, otherwise at the start of that cycle's scan.
      */
-    void scheduleResolve(DynInst *di, std::uint64_t due);
+    void scheduleResolve(std::uint64_t seq, std::uint64_t due);
 
     /** Resolve a memory op's effective address (pointer is ready). */
-    void resolveAddress(DynInst *di);
+    void resolveAddress(std::uint64_t seq);
 
     /** Refresh the start-of-cycle unknown-address minimums. */
     void refreshOrderingSnapshot();
 
     /**
-     * Does an older, resolved, uncommitted access overlap @p di with
+     * Does an older, resolved, uncommitted access overlap @p seq with
      * a conflicting kind (store before anything, load before store)?
      */
-    bool olderOverlapPending(const DynInst &di) const;
+    bool olderOverlapPending(std::uint64_t seq, bool is_store) const;
 
-    /** Drop @p di from the resolved-address lists (at commit). */
-    void forgetAddress(DynInst *di);
+    /** Drop @p seq from the resolved-address lists (at commit). */
+    void forgetAddress(std::uint64_t seq);
 
     /** Visit one candidate in the issue scan. */
-    void visitCandidate(DynInst *di);
+    void visitCandidate(std::uint64_t seq);
 
-    void issueCompute(DynInst *di);
+    /** Issue a branch or ret: commit now, import the successor. */
+    void issueControl(std::uint64_t seq, const StaticFacts &f);
 
-    void commit(DynInst *di);
+    /** Issue a ready load or store if ordering and ports allow. */
+    void issueMemory(std::uint64_t seq, const StaticFacts &f);
 
-    /** Emit @p di's dynamic-CDFG node (profiler is attached). */
-    void recordProfile(DynInst *di);
+    void issueCompute(std::uint64_t seq);
+
+    void commit(std::uint64_t seq);
+
+    /** Emit @p seq's dynamic-CDFG node (profiler is attached). */
+    void recordProfile(std::uint64_t seq);
 
     /** Drop fully retired instructions from the window front. */
     void pruneWindow();
@@ -566,27 +616,20 @@ class RuntimeEngine
     /**
      * The instruction window (reservation + in-flight), sequence
      * numbers [windowFront, nextSeq), as a power-of-two ring indexed
-     * by seq. Entries are arena-pooled: retirement returns them to
-     * the freelist instead of deallocating.
+     * by seq. The parallel rings below share its slots; operand
+     * rings hold 1 << slotShift slots per instance.
      */
-    std::vector<DynInst *> window;
+    std::vector<DynInst> window;
     std::uint64_t windowMask = 0;
     std::uint64_t windowFront = 0;
-
-    /** Backing storage for every DynInst ever created (arena). */
-    std::vector<std::unique_ptr<DynInst>> arena;
-
-    /** Retired instances ready for reuse. */
-    std::vector<DynInst *> freeList;
-
-    /**
-     * Host allocation counters, not simulated statistics: DynInst
-     * requests served from the freelist vs ones that grew the arena
-     * with a heap allocation. finish() adds them to the bound
-     * SimContext's HostTelemetry (obs::HostTelemetry::noteArena).
-     */
-    std::uint64_t arenaHitCount = 0;
-    std::uint64_t arenaMissCount = 0;
+    unsigned slotShift = 0;
+    std::vector<Operand> operands;
+    std::vector<MemState> memStates;
+    /** Operand values and results; empty under a trace source. */
+    std::vector<ir::RuntimeValue> operandValues;
+    std::vector<ir::RuntimeValue> results;
+    /** Empty unless a profiler or trace sink is attached. */
+    std::vector<ProfState> profStates;
 
     /**
      * Issue-candidate set: one bit per window seq, word (seq >> 6)
@@ -616,7 +659,7 @@ class RuntimeEngine
     ScanState scan;
 
     /** Issued compute ops waiting to commit (swap-remove order). */
-    std::vector<DynInst *> computeQueue;
+    std::vector<std::uint64_t> computeQueue;
     /** Earliest commitCycle in computeQueue (a lower bound). */
     std::uint64_t nextCommitDue = never;
     /** computeQueue entries per FU type (occupancy statistics). */
@@ -640,16 +683,16 @@ class RuntimeEngine
     std::vector<MemRef> knownStores;
     std::vector<MemRef> knownLoads;
 
-    /** Address resolutions due at the start of a later scan. */
-    std::vector<std::pair<std::uint64_t, DynInst *>> dueResolves;
+    /** Address resolutions (due cycle, seq) for a later scan. */
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> dueResolves;
 
     std::uint64_t nextMemSeq = 0;
 
     /**
      * Latest in-window dynamic instance per static instruction,
-     * indexed by StaticInstInfo::id (null = none in window).
+     * indexed by StaticInstInfo::id (noSeq = none in window).
      */
-    std::vector<DynInst *> latestInstance;
+    std::vector<std::uint64_t> latestInstance;
 
     /**
      * Last committed value per static value, indexed by the dense
@@ -663,8 +706,8 @@ class RuntimeEngine
     std::array<std::vector<std::uint64_t>, hw::numFuTypes> poolFreeAt;
 
     /** Pending block import deferred by a full reservation queue. */
-    const ir::BasicBlock *pendingImport = nullptr;
-    const ir::BasicBlock *pendingImportFrom = nullptr;
+    unsigned pendingImport = noBlock;
+    unsigned pendingImportFrom = noBlock;
 
     /** Terminator seq behind the import in progress (profiling). */
     std::uint64_t importCtrlSeq = obs::noProfSeq;
@@ -693,6 +736,9 @@ class RuntimeEngine
 
     /** Dynamic-trace capture sink; null = capture off (hot path). */
     DynTrace *capture = nullptr;
+
+    /** Trace operand source; null = evaluate the IR (full mode). */
+    const DynTrace *source = nullptr;
 };
 
 } // namespace salam::core

@@ -165,9 +165,12 @@ evalCast(Opcode op, const Type *src_type, const Type *dest_type,
 
 RuntimeValue
 evalIntrinsic(const std::string &callee, const Type *type,
-              const std::vector<RuntimeValue> &args)
+              std::span<const RuntimeValue> args)
 {
-    auto arg = [&](std::size_t i) { return args.at(i).asFP(type); };
+    auto arg = [&](std::size_t i) {
+        SALAM_ASSERT(i < args.size());
+        return args[i].asFP(type);
+    };
     if (callee == "sqrt")
         return RuntimeValue::fromFP(type, std::sqrt(arg(0)));
     if (callee == "exp")
@@ -187,7 +190,7 @@ evalIntrinsic(const std::string &callee, const Type *type,
 
 std::int64_t
 evalGepOffset(const GetElementPtrInst &gep,
-              const std::vector<RuntimeValue> &indices)
+              std::span<const RuntimeValue> indices)
 {
     SALAM_ASSERT(indices.size() == gep.numIndices());
     const Type *cur = gep.sourceElementType();
@@ -210,15 +213,18 @@ evalGepOffset(const GetElementPtrInst &gep,
 
 RuntimeValue
 evalCompute(const Instruction &inst,
-            const std::vector<RuntimeValue> &operands)
+            std::span<const RuntimeValue> operands)
 {
+    // Operand count by opcode is the verifier's invariant; the
+    // unchecked reads below rely on it.
+    SALAM_ASSERT(operands.size() == inst.numOperands());
     Opcode op = inst.opcode();
     switch (op) {
       case Opcode::ICmp:
       case Opcode::FCmp: {
         const auto &cmp = static_cast<const CmpInst &>(inst);
         return evalCompare(op, cmp.predicate(), cmp.lhs()->type(),
-                           operands.at(0), operands.at(1));
+                           operands[0], operands[1]);
       }
       case Opcode::Trunc:
       case Opcode::ZExt:
@@ -232,18 +238,15 @@ evalCompute(const Instruction &inst,
       case Opcode::IntToPtr: {
         const auto &cast = static_cast<const CastInst &>(inst);
         return evalCast(op, cast.source()->type(), cast.type(),
-                        operands.at(0));
+                        operands[0]);
       }
       case Opcode::Select:
-        return operands.at(0).asBool() ? operands.at(1)
-                                       : operands.at(2);
+        return operands[0].asBool() ? operands[1] : operands[2];
       case Opcode::GetElementPtr: {
         const auto &gep =
             static_cast<const GetElementPtrInst &>(inst);
-        std::vector<RuntimeValue> indices(operands.begin() + 1,
-                                          operands.end());
-        std::uint64_t base = operands.at(0).bits;
-        std::int64_t off = evalGepOffset(gep, indices);
+        std::uint64_t base = operands[0].bits;
+        std::int64_t off = evalGepOffset(gep, operands.subspan(1));
         return RuntimeValue::fromPointer(
             base + static_cast<std::uint64_t>(off));
       }
@@ -253,8 +256,8 @@ evalCompute(const Instruction &inst,
       }
       default:
         if (inst.isComputeOp()) {
-            return evalBinary(op, inst.type(), operands.at(0),
-                              operands.at(1));
+            return evalBinary(op, inst.type(), operands[0],
+                              operands[1]);
         }
         panic("evalCompute on non-compute opcode %s", opcodeName(op));
     }

@@ -14,7 +14,8 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <span>
+#include <string>
 
 #include "instruction.hh"
 
@@ -139,22 +140,23 @@ RuntimeValue evalCast(Opcode op, const Type *src_type,
 
 /** Evaluate a math intrinsic (sqrt/exp/log/sin/cos/fabs/...). */
 RuntimeValue evalIntrinsic(const std::string &callee, const Type *type,
-                           const std::vector<RuntimeValue> &args);
+                           std::span<const RuntimeValue> args);
 
 /**
  * Byte offset computed by a GEP given its index operand values.
  * The base address is not included.
  */
 std::int64_t evalGepOffset(const GetElementPtrInst &gep,
-                           const std::vector<RuntimeValue> &indices);
+                           std::span<const RuntimeValue> indices);
 
 /**
  * Evaluate any compute instruction (arithmetic, compare, cast, select,
  * GEP, intrinsic call) from its operand values, in operand order.
  * Loads, stores, phis and terminators are the caller's responsibility.
+ * Allocates nothing.
  */
 RuntimeValue evalCompute(const Instruction &inst,
-                         const std::vector<RuntimeValue> &operands);
+                         std::span<const RuntimeValue> operands);
 
 } // namespace salam::ir
 

@@ -207,6 +207,12 @@ class Packet
     void *context = nullptr;
 
     /**
+     * Requester-assigned tag the response carries back (the
+     * accelerator's CommInterface stores the engine instance's seq).
+     */
+    std::uint64_t tag = 0;
+
+    /**
      * Data-channel beats this packet occupies on a burst-capable
      * interconnect (1 on fabrics that move packets whole).
      */

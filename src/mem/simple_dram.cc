@@ -83,8 +83,9 @@ SimpleDram::handleRequest(PacketPtr pkt)
     Tick start = std::max(now, busFreeAt);
     if (start > now) {
         // Waited for the data bus. Kernel requests (those carrying
-        // a DynInst context) queued behind contextless traffic —
-        // DMA bursts, host accesses — get the more specific flag.
+        // their CommInterface as context) queued behind contextless
+        // traffic — DMA bursts, host accesses — get the more
+        // specific flag.
         pkt->serviceFlags |= svcQueued;
         if (pkt->context != nullptr && lastOccupantExternal)
             pkt->serviceFlags |= svcDmaWait;

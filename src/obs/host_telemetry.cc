@@ -141,8 +141,6 @@ HostTelemetry::mergeFrom(const HostTelemetry &other)
         totals[i].totalNanos += other.totals[i].totalNanos;
         totals[i].selfNanos += other.totals[i].selfNanos;
     }
-    arenaHitCount += other.arenaHitCount;
-    arenaMissCount += other.arenaMissCount;
     peakRssKbValue = std::max(peakRssKbValue, other.peakRssKbValue);
 }
 
@@ -167,8 +165,6 @@ writePhasesAndAlloc(JsonBuilder &json, const HostTelemetry &tel)
     json.field("self_seconds_total",
                static_cast<double>(tel.selfNanosTotal()) / 1e9);
     json.beginObject("alloc")
-        .field("arena_hits", tel.arenaHits())
-        .field("arena_misses", tel.arenaMisses())
         .field("peak_rss_kb", tel.peakRssKb())
         .endObject();
 }

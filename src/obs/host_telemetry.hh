@@ -25,9 +25,8 @@
  *    waiting, and registers itself in a process-wide registry so the
  *    sweep report can name every shared lock and its wait share.
  *
- *  - Allocation-pressure counters: DynInst freelist-arena hits vs
- *    misses (noted by each engine at finish) and a peak-RSS sample,
- *    per point and aggregated per sweep.
+ *  - Allocation pressure: a peak-RSS sample, per point and
+ *    aggregated per sweep.
  *
  * Ownership rule: one HostTelemetry belongs to at most one SimContext
  * at a time, and is only mutated by the thread that context is bound
@@ -237,13 +236,6 @@ class HostTelemetry
 
     // --- allocation pressure ---
 
-    void
-    noteArena(std::uint64_t hits, std::uint64_t misses)
-    {
-        arenaHitCount += hits;
-        arenaMissCount += misses;
-    }
-
     /** Update the peak-RSS high-water mark from /proc. */
     void
     samplePeakRss()
@@ -252,10 +244,6 @@ class HostTelemetry
         if (kb > peakRssKbValue)
             peakRssKbValue = kb;
     }
-
-    std::uint64_t arenaHits() const { return arenaHitCount; }
-
-    std::uint64_t arenaMisses() const { return arenaMissCount; }
 
     std::uint64_t peakRssKb() const { return peakRssKbValue; }
 
@@ -310,8 +298,6 @@ class HostTelemetry
 
     std::array<PhaseTotals, numHostPhases> totals{};
     std::vector<Frame> stack;
-    std::uint64_t arenaHitCount = 0;
-    std::uint64_t arenaMissCount = 0;
     std::uint64_t peakRssKbValue = 0;
     bool wantSimTrace = false;
     std::vector<TraceRecord> simTrace;

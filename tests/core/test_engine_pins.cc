@@ -228,21 +228,3 @@ TEST(EnginePins, ProfiledGemmCauses)
     runProfiled(*kernels::makeGemm(8, 4), true, &causes);
     EXPECT_EQ(causes, "0,270,0,1143,0,0,412,4,0,0,0,0,0,0,");
 }
-
-/**
- * DynInst arena hits and misses are host telemetry: every dynamic
- * instance is one arena request, noted into the bound context's
- * HostTelemetry when the kernel finishes.
- */
-TEST(EngineHostCounters, ArenaRequestsReachHostTelemetry)
-{
-    obs::HostTelemetry telemetry;
-    SimContext ctx;
-    ctx.setHostTelemetry(&telemetry);
-    ScopedSimContext bind(ctx);
-    EngineStats stats = runProfiled(*kernels::makeGemm(8, 4), false);
-    EXPECT_GT(telemetry.arenaHits(), 0u);
-    EXPECT_GT(telemetry.arenaMisses(), 0u);
-    EXPECT_EQ(telemetry.arenaHits() + telemetry.arenaMisses(),
-              stats.dynamicInstructions);
-}

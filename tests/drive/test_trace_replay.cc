@@ -549,3 +549,100 @@ TEST(TraceReplay, BranchHoldsItsSlotDuringImportStencil3d)
     ASSERT_TRUE(fast.ok) << fast.error;
     EXPECT_EQ(firstDifference(fast, full), "");
 }
+
+/**
+ * The engine imports whichever block a branch record names, so a
+ * record naming the other successor must be refused up front, not
+ * replayed as a different schedule. Flips the 10th conditional
+ * branch of the GEMM capture.
+ */
+TEST(TraceReplay, BranchTargetMustNameTheNextBlock)
+{
+    const KernelCapture &c = captured();
+    core::DeviceConfig dev;
+    core::StaticCdfg cdfg(*c.fn, dev);
+    core::DynTrace flipped = c.trace;
+    unsigned conditional = 0;
+    bool done = false;
+    for (core::DynTraceInst &rec : flipped.insts) {
+        const auto *br = dynamic_cast<const ir::BranchInst *>(
+            cdfg.infoById(rec.staticId).inst);
+        if (br == nullptr || !br->isConditional() || ++conditional < 10)
+            continue;
+        unsigned if_true = cdfg.blockInfo(br->ifTrue()).id;
+        unsigned if_false = cdfg.blockInfo(br->ifFalse()).id;
+        ASSERT_NE(if_true, if_false);
+        rec.branchTarget = rec.branchTarget == if_true ? if_false
+                                                       : if_true;
+        done = true;
+        break;
+    }
+    ASSERT_TRUE(done) << "the capture has fewer than 10 conditional "
+                         "branches";
+
+    EXPECT_NE(drive::buildReplayPrep(cdfg, flipped).error, "");
+    drive::ReplaySpmConfig spm;
+    spm.rangeStart = test::spmBase;
+    drive::ReplayResult res =
+        drive::TraceReplayer(cdfg, dev, flipped, spm).run();
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error, "");
+}
+
+/**
+ * Every GEMM unroll variant shares block layout and opcodes at the
+ * front, so only the IR identity stamped at capture tells a GEMM
+ * n8/u2 trace from GEMM n16/u2's IR.
+ */
+TEST(TraceReplay, TraceOfAnotherKernelVariantIsRejected)
+{
+    const KernelCapture &c = captured();
+    ASSERT_NE(c.trace.irHash, 0u);
+    ir::Module mod("other_variant");
+    ir::IRBuilder b(mod);
+    ir::Function *fn = kernels::makeGemm(16, 2)->buildOptimized(b);
+    core::DeviceConfig dev;
+    core::StaticCdfg cdfg(*fn, dev);
+
+    drive::ReplayPrep prep = drive::buildReplayPrep(cdfg, c.trace);
+    EXPECT_NE(prep.error.find("IR hash"), std::string::npos)
+        << prep.error;
+    drive::ReplaySpmConfig spm;
+    spm.rangeStart = test::spmBase;
+    drive::ReplayResult res =
+        drive::TraceReplayer(cdfg, dev, c.trace, spm).run();
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error, "");
+}
+
+/**
+ * Configs a full simulation refuses (it fatal()s) are errors, not
+ * hangs: an empty read queue, no write port, and a reservation queue
+ * smaller than a block the trace imports.
+ */
+TEST(TraceReplay, InvalidDeviceConfigsAreRejected)
+{
+    const KernelCapture &c = captured();
+    struct Bad
+    {
+        const char *field;
+        void (*spoil)(core::DeviceConfig &);
+    };
+    const Bad bad[] = {
+        {"readQueueSize",
+         [](core::DeviceConfig &d) { d.readQueueSize = 0; }},
+        {"writePortsPerCycle",
+         [](core::DeviceConfig &d) { d.writePortsPerCycle = 0; }},
+        {"reservationQueueSize",
+         [](core::DeviceConfig &d) { d.reservationQueueSize = 4; }},
+    };
+    for (const Bad &b : bad) {
+        SCOPED_TRACE(b.field);
+        core::DeviceConfig dev;
+        b.spoil(dev);
+        mem::ScratchpadConfig spm = test::AccelSystem::defaultSpm();
+        drive::ReplayResult res = replayCaptured(c, dev, spm);
+        EXPECT_FALSE(res.ok);
+        EXPECT_NE(res.error, "");
+    }
+}

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "ir/context.hh"
 #include "ir/eval.hh"
 #include "ir/ir_builder.hh"
@@ -131,11 +133,11 @@ TEST_F(EvalTest, Casts)
 TEST_F(EvalTest, Intrinsics)
 {
     auto r = evalIntrinsic("sqrt", ctx.doubleType(),
-                           {RuntimeValue::fromDouble(9.0)});
+                           std::array{RuntimeValue::fromDouble(9.0)});
     EXPECT_DOUBLE_EQ(r.asDouble(), 3.0);
     r = evalIntrinsic("pow", ctx.doubleType(),
-                      {RuntimeValue::fromDouble(2.0),
-                       RuntimeValue::fromDouble(10.0)});
+                      std::array{RuntimeValue::fromDouble(2.0),
+                                 RuntimeValue::fromDouble(10.0)});
     EXPECT_DOUBLE_EQ(r.asDouble(), 1024.0);
     EXPECT_EXIT(evalIntrinsic("nope", ctx.doubleType(), {}),
                 ::testing::ExitedWithCode(1), "unknown intrinsic");

@@ -1,13 +1,13 @@
 /**
  * @file
- * The simulated memory path allocates nothing once warm.
+ * The simulated memory path allocates nothing once warm, and neither
+ * does evaluating the GEP that forms each access's address.
  *
  * This binary replaces the global operator new with a counting one,
- * so it is built apart from mem_test. Each test runs a burst of
- * reads and writes once to warm the packet freelist, the queues'
- * rings and the event heap, then counts allocations over an
- * identical second burst. Sanitizers bring their own allocator, so
- * sanitized builds skip the count.
+ * so it is built apart from mem_test. Each test runs a burst once to
+ * warm the packet freelist, the queues' rings and the event heap,
+ * then counts allocations over an identical second burst. Sanitizers
+ * bring their own allocator, so sanitized builds skip the count.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "ir/eval.hh"
+#include "ir/ir_builder.hh"
 #include "mem/axi_bus.hh"
 #include "mem/crossbar.hh"
 #include "mem/scratchpad.hh"
@@ -186,4 +188,35 @@ TEST(MemAllocFree, WarmBurstThroughNestedFabricsAllocatesNothing)
     EXPECT_EQ(allocations, 0u);
     EXPECT_EQ(refused, 0u);
     EXPECT_EQ(req.received, 128u);
+}
+
+/** The engine evaluates one GEP per simulated memory access. */
+TEST(EvalAllocFree, GepEvaluationAllocatesNothing)
+{
+#ifdef SALAM_TEST_SANITIZED
+    GTEST_SKIP() << "sanitizers replace operator new";
+#endif
+    ir::Module mod("gep");
+    ir::IRBuilder b(mod);
+    ir::Context &c = b.context();
+    ir::Function *fn = b.createFunction("f", c.voidType());
+    const ir::Type *row = c.arrayOf(c.doubleType(), 16);
+    ir::Argument *base = fn->addArgument(c.pointerTo(row), "base");
+    b.setInsertPoint(b.createBlock("entry"));
+    const auto *gep = static_cast<const ir::Instruction *>(
+        b.gep(row, base, {b.constI64(0), b.constI64(0)}));
+
+    std::uint64_t sum = 0;
+    std::uint64_t allocations = allocationsWhenWarm([&] {
+        for (std::uint64_t i = 0; i < 256; ++i) {
+            const ir::RuntimeValue ops[] = {
+                ir::RuntimeValue::fromPointer(0x1000),
+                ir::RuntimeValue::fromInt(c.i64(), i / 16),
+                ir::RuntimeValue::fromInt(c.i64(), i % 16)};
+            sum += ir::evalCompute(*gep, ops).bits;
+        }
+    });
+    EXPECT_EQ(allocations, 0u);
+    // Row i / 16, column i % 16: byte offset 8 * i, twice over.
+    EXPECT_EQ(sum, 2 * (256 * 0x1000 + 8 * (255 * 256 / 2)));
 }

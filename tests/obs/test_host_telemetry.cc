@@ -162,11 +162,9 @@ TEST(HostTelemetry, MergeFoldsPhasesAndAllocationCounters)
 {
     HostTelemetry a;
     a.addPhaseTime(HostPhase::EngineSchedule, 100, 2);
-    a.noteArena(10, 1);
     HostTelemetry b;
     b.addPhaseTime(HostPhase::EngineSchedule, 50, 1);
     b.addPhaseTime(HostPhase::EventLoop, 25, 5);
-    b.noteArena(4, 7);
 
     HostTelemetry merged;
     merged.mergeFrom(a);
@@ -175,15 +173,12 @@ TEST(HostTelemetry, MergeFoldsPhasesAndAllocationCounters)
     EXPECT_EQ(merged.phase(HostPhase::EngineSchedule).totalNanos,
               150u);
     EXPECT_EQ(merged.phase(HostPhase::EventLoop).count, 5u);
-    EXPECT_EQ(merged.arenaHits(), 14u);
-    EXPECT_EQ(merged.arenaMisses(), 8u);
 }
 
 TEST(HostTelemetry, JsonOutputParsesAndNamesEveryPhase)
 {
     HostTelemetry tel;
     tel.addPhaseTime(HostPhase::MemoryModel, 2'000'000'000ull, 4);
-    tel.noteArena(3, 2);
     tel.samplePeakRss();
 
     std::ostringstream os;
@@ -202,9 +197,6 @@ TEST(HostTelemetry, JsonOutputParsesAndNamesEveryPhase)
     EXPECT_DOUBLE_EQ(
         doc.at("phases").at("memory_model").at("count").number,
         4.0);
-    EXPECT_DOUBLE_EQ(doc.at("alloc").at("arena_hits").number, 3.0);
-    EXPECT_DOUBLE_EQ(doc.at("alloc").at("arena_misses").number,
-                     2.0);
 #if defined(__linux__)
     EXPECT_GT(doc.at("alloc").at("peak_rss_kb").number, 0.0);
 #endif
