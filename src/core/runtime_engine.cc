@@ -139,6 +139,7 @@ RuntimeEngine::RuntimeEngine(const StaticCdfg &cdfg,
     operands.resize(slots << slotShift);
     memStates.resize(slots);
     candBits.assign(slots / 64, 0);
+    candWords.assign((slots / 64 + 63) / 64, 0);
     candLoadBits.assign(slots / 64, 0);
     candStoreBits.assign(slots / 64, 0);
     candFuBits.assign(numLimitedFus,
@@ -269,6 +270,11 @@ RuntimeEngine::growWindow(std::uint64_t needed)
         bits = std::move(out);
     };
     regrid_bits(candBits);
+    candWords.assign((slots / 64 + 63) / 64, 0);
+    for (std::size_t w = 0; w < candBits.size(); ++w) {
+        if (candBits[w] != 0)
+            candWords[w >> 6] |= 1ull << (w & 63);
+    }
     regrid_bits(candLoadBits);
     regrid_bits(candStoreBits);
     for (auto &bits : candFuBits)
@@ -388,7 +394,8 @@ RuntimeEngine::importBlock(unsigned block, unsigned from)
             if (ops[f.ptrSlot()].producer == noSeq)
                 scheduleResolve(seq, di.minIssueCycle);
         }
-        maybeCandidate(seq);
+        if (di.pendingOperands == 0)
+            maybeCandidate(seq);
     }
 }
 
@@ -419,6 +426,7 @@ RuntimeEngine::maybeCandidate(std::uint64_t seq)
             candFuBits[f.limitedFu][word] |= bit;
     }
     candBits[word] |= bit;
+    candWords[word >> 6] |= 1ull << (word & 63);
 }
 
 void
@@ -428,6 +436,8 @@ RuntimeEngine::markIssued(std::uint64_t seq)
     std::size_t word = (seq >> 6) & (windowMask >> 6);
     std::uint64_t keep = ~(1ull << (seq & 63));
     candBits[word] &= keep;
+    if (candBits[word] == 0)
+        candWords[word >> 6] &= ~(1ull << (word & 63));
     if (f.kind == opLoad)
         candLoadBits[word] &= keep;
     else if (f.kind == opStore)
@@ -719,7 +729,8 @@ RuntimeEngine::commit(std::uint64_t seq)
         const StaticFacts &rf = facts[reader.staticId];
         if (rf.isMemory() && slot == rf.ptrSlot())
             scheduleResolve(r, std::max(cycleCount, reader.minIssueCycle));
-        maybeCandidate(r);
+        if (reader.pendingOperands == 0)
+            maybeCandidate(r);
     }
     di.firstReader = noSeq;
 }
@@ -1253,7 +1264,22 @@ RuntimeEngine::cycle()
     std::uint64_t wi = firstUnissued >> 6;
     std::uint64_t mask = ~0ull << (firstUnissued & 63);
     while (nextSeq != 0 && wi <= (nextSeq - 1) >> 6) {
+        // (A visit's import may grow the ring: re-read its mask.)
         std::size_t pw = wi & (windowMask >> 6);
+        // Skip the words with no candidate at all, up to the next
+        // summary word or the ring's end, whichever comes first.
+        std::uint64_t nonempty = candWords[pw >> 6] >> (pw & 63);
+        if (nonempty == 0) {
+            wi += std::min<std::uint64_t>(64 - (pw & 63),
+                                          (windowMask >> 6) + 1 - pw);
+            mask = ~0ull;
+            continue;
+        }
+        if ((nonempty & 1) == 0) {
+            wi += static_cast<unsigned>(std::countr_zero(nonempty));
+            mask = ~0ull;
+            continue;
+        }
         std::uint64_t w = candBits[pw] & mask;
         if (pruneVisits) {
             // A closed class only parks its remaining candidates

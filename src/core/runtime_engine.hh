@@ -638,6 +638,8 @@ class RuntimeEngine
      * is masked out of a scan wholesale.
      */
     std::vector<std::uint64_t> candBits;
+    /** Bit per candBits word that is nonzero (the scan skips the rest). */
+    std::vector<std::uint64_t> candWords;
     std::vector<std::uint64_t> candLoadBits;
     std::vector<std::uint64_t> candStoreBits;
     std::vector<std::vector<std::uint64_t>> candFuBits;
