@@ -230,23 +230,28 @@ salam_query="${perf_dir}/src/tools/salam-query"
     --store-out "${smoke_dir}/simrate_store" \
     >"${smoke_dir}/simrate.out"
 baseline_file="${repo_root}/BENCH_simrate.json"
-# The record is regenerated by scripts/bench_record.sh, never by
-# hand: it must rewrite only the kernels record and stamp it.
+# The records are regenerated by scripts/bench_record.sh, never by
+# hand: it must rewrite exactly the kernels and fast_sweep records
+# and stamp both.
 cp "${baseline_file}" "${smoke_dir}/record_copy.json" 2>/dev/null || true
 "${repo_root}/scripts/bench_record.sh" "${perf_dir}" \
     "${smoke_dir}/record_copy.json" >/dev/null
 python3 - "${baseline_file}" "${smoke_dir}/record_copy.json" <<'PYEOF'
 import json, os, sys
 fresh = json.load(open(sys.argv[2]))
-for k in fresh["kernels"]:
+stamped = fresh["kernels"] + [fresh["fast_sweep"]]
+for k in stamped:
     assert k["git_sha"] and k["build_type"] == "Release" and k["nproc"] > 0, k
+assert fresh["fast_sweep"]["points"] == 20, fresh["fast_sweep"]
+assert fresh["fast_sweep"]["threads"] == 1, fresh["fast_sweep"]
 if os.path.exists(sys.argv[1]):
     old = json.load(open(sys.argv[1]))
-    for key in set(old) | set(fresh):
-        if key != "kernels":
-            assert old.get(key) == fresh.get(key), \
-                f"bench_record.sh changed record {key!r}"
-print("bench_record.sh ok: kernels record stamped, others kept")
+    changed = {key for key in set(old) | set(fresh)
+               if old.get(key) != fresh.get(key)}
+    assert changed == {"kernels", "fast_sweep"}, \
+        f"bench_record.sh changed records {sorted(changed)}"
+print("bench_record.sh ok: kernels and fast_sweep records stamped, "
+      "others kept")
 PYEOF
 if [[ ! -f "${baseline_file}" ]]; then
     "${repo_root}/scripts/bench_record.sh" "${perf_dir}"
@@ -311,35 +316,48 @@ print(f"store diff ok: 5 paired points, "
       f"cycle/stall deltas at points {changed}")
 PYEOF
 
-echo "== fast path: fig13 slice, full vs --sim-mode fast bit-identical"
-# Same slice in both sim modes; the diff must pair every point and
+echo "== fast path: fig13 grid and fig15 sweep, full vs --sim-mode fast bit-identical"
+# Each sweep in both sim modes; the diff must pair every point and
 # report ZERO changes — the trace-replay fast path's correctness
-# contract (wall-clock fields are ignored by diff by convention).
-"${perf_dir}/bench/fig13_gemm_pareto" --sweep-threads 4 \
-    --fu-limits 8 --sim-mode full \
-    --store-out "${smoke_dir}/store_fastgate_full" \
-    >"${smoke_dir}/store_fastgate_full.out"
-"${perf_dir}/bench/fig13_gemm_pareto" --sweep-threads 4 \
-    --fu-limits 8 --sim-mode fast \
-    --store-out "${smoke_dir}/store_fastgate_fast" \
-    >"${smoke_dir}/store_fastgate_fast.out"
-# The sweep CSVs themselves must match too (modulo the wall line).
-diff <(grep -v wall "${smoke_dir}/store_fastgate_full.out") \
-     <(grep -v wall "${smoke_dir}/store_fastgate_fast.out")
-"${salam_query}" diff "${smoke_dir}/store_fastgate_full" \
-    "${smoke_dir}/store_fastgate_fast" --json \
-    >"${smoke_dir}/store_fastgate_diff.json"
-python3 - "${smoke_dir}/store_fastgate_diff.json" <<'PYEOF'
-import json, sys
+# contract (wall-clock fields are ignored by diff by convention) —
+# and every fast-mode record must come from a replay.
+cmake --build "${perf_dir}" -j "${jobs}" --target fig15_gemm_codesign
+for gate in fig13_gemm_pareto:20 fig15_gemm_codesign:5; do
+    bench="${gate%%:*}"
+    points="${gate##*:}"
+    for mode in full fast; do
+        "${perf_dir}/bench/${bench}" --sweep-threads 4 \
+            --sim-mode "${mode}" \
+            --store-out "${smoke_dir}/fastgate_${bench}_${mode}" \
+            >"${smoke_dir}/fastgate_${bench}_${mode}.out"
+    done
+    # The sweep tables themselves must match too (modulo the wall line).
+    diff <(grep -v wall "${smoke_dir}/fastgate_${bench}_full.out") \
+         <(grep -v wall "${smoke_dir}/fastgate_${bench}_fast.out")
+    "${salam_query}" diff "${smoke_dir}/fastgate_${bench}_full" \
+        "${smoke_dir}/fastgate_${bench}_fast" --json \
+        >"${smoke_dir}/fastgate_${bench}_diff.json"
+    python3 - "${smoke_dir}/fastgate_${bench}_diff.json" "${points}" \
+        "${bench}" "${smoke_dir}/fastgate_${bench}_fast" <<'PYEOF'
+import glob, json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["paired"] == 5, f"expected 5 paired rows: {doc['paired']}"
+points, bench, fast_store = int(sys.argv[2]), sys.argv[3], sys.argv[4]
+assert doc["paired"] == points, \
+    f"{bench}: expected {points} paired rows: {doc['paired']}"
 assert doc["only_in_a"] == 0 and doc["only_in_b"] == 0, \
-    "fast store did not pair with the full store"
+    f"{bench}: fast store did not pair with the full store"
 changed = [r["point"] for r in doc["rows"] if r["changed"]]
 assert not changed, \
-    f"fast path diverged from full simulation at points {changed}"
-print("fast-path gate ok: 5 paired points, 0 changed")
+    f"{bench}: fast path diverged from full simulation at {changed}"
+replayed = sum(line.count('"fast_path":1')
+               for path in glob.glob(fast_store + "/records-*.jsonl")
+               for line in open(path))
+assert replayed == points, \
+    f"{bench}: {replayed} of {points} fast-mode points replayed"
+print(f"fast-path gate ok: {bench}, {points} paired points replayed, "
+      f"0 changed")
 PYEOF
+done
 
 echo "== interconnect: crossbar-vs-bus A/B, contention, auto fallback"
 ic_dir="${smoke_dir}/interconnect"

@@ -33,7 +33,9 @@
  *
  * The engine is a plain clock-stepped class (no SimObject coupling)
  * so it can be unit-tested against a scripted memory interface; the
- * ComputeUnit SimObject drives it inside a full system.
+ * ComputeUnit SimObject drives it inside a full system. With a
+ * captured DynTrace as its operand source it is also the scheduler
+ * of the trace-reuse fast path (drive::TraceReplayer).
  */
 
 #ifndef SALAM_CORE_RUNTIME_ENGINE_HH
@@ -43,7 +45,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 

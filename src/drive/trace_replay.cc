@@ -9,7 +9,6 @@ namespace salam::drive
 {
 
 using namespace salam::core;
-using namespace salam::hw;
 
 std::string
 fastPathBlocker(const DynTrace &trace, const DeviceConfig &dev,
