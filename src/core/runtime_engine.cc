@@ -207,12 +207,9 @@ RuntimeEngine::createDynInst(const StaticInstInfo &info)
     di = DynInst{};
     di.staticId = info.id;
     di.minIssueCycle = cycleCount + 1;
-    di.prevInstance = noSeq;
-    di.nextInstance = noSeq;
-    di.firstReader = noSeq;
     Operand *ops = operandsOf(seq);
     for (unsigned s = 0; s < f.numSlots; ++s)
-        ops[s] = Operand{noSeq, noSeq};
+        ops[s] = Operand{};
     if (!profStates.empty()) {
         ProfState &prof = profOf(seq);
         prof = ProfState{};
@@ -385,7 +382,7 @@ RuntimeEngine::importBlock(unsigned block, unsigned from)
         ++unissuedCount;
         const StaticFacts &f = facts[sinfo.id];
         if (f.isMemory()) {
-            memOf(seq) = MemState{0, nextMemSeq++, 0, 0, 0};
+            memOf(seq) = MemState{.memSeq = nextMemSeq++};
             (f.kind == opLoad ? unresolvedLoads : unresolvedStores)
                 .push_back(seq);
             snapDirty = true;

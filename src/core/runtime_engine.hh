@@ -322,51 +322,51 @@ class RuntimeEngine
     struct DynInst
     {
         /** First cycle this instance may issue (block-import fence). */
-        std::uint64_t minIssueCycle;
-        std::uint64_t issueCycle;
+        std::uint64_t minIssueCycle = 0;
+        std::uint64_t issueCycle = 0;
         /** Cycle the result commits (valid once issued). */
-        std::uint64_t commitCycle;
+        std::uint64_t commitCycle = 0;
         /** Previous and next in-window instance of the same static
          * instruction (WAW/WAR hand-off and safe retirement). */
-        std::uint64_t prevInstance;
-        std::uint64_t nextInstance;
+        std::uint64_t prevInstance = noSeq;
+        std::uint64_t nextInstance = noSeq;
         /** Head of the list of readers bound to this result, as a
          * reader link (see Operand::nextReader). */
-        std::uint64_t firstReader;
-        std::uint32_t staticId;
+        std::uint64_t firstReader = noSeq;
+        std::uint32_t staticId = 0;
         /** Producers in the operand slots that have not committed. */
-        std::uint32_t pendingOperands;
+        std::uint32_t pendingOperands = 0;
         /** Dynamic consumers that have not issued yet (WAR). */
-        std::uint32_t unissuedReaders;
-        bool issued;
-        bool committed;
-        bool addrKnown;
-        bool memInFlight;
+        std::uint32_t unissuedReaders = 0;
+        bool issued = false;
+        bool committed = false;
+        bool addrKnown = false;
+        bool memInFlight = false;
     };
 
     /** One operand slot of an instance. */
     struct Operand
     {
         /** Uncommitted producer bound at import; noSeq once captured. */
-        std::uint64_t producer;
+        std::uint64_t producer = noSeq;
         /**
          * Next reader of the same producer, as a link
          * (seq << slotShift | slot); noSeq ends the list.
          */
-        std::uint64_t nextReader;
+        std::uint64_t nextReader = noSeq;
     };
 
     /** A memory op's address state. */
     struct MemState
     {
-        std::uint64_t addr;
+        std::uint64_t addr = 0;
         /** Position in program memory order (disambiguation). */
-        std::uint64_t memSeq;
-        unsigned size;
+        std::uint64_t memSeq = 0;
+        unsigned size = 0;
         /** Index in the resolved-address list while listed. */
-        std::uint32_t knownIndex;
+        std::uint32_t knownIndex = 0;
         /** mem::Packet service annotations copied from the response. */
-        unsigned serviceFlags;
+        unsigned serviceFlags = 0;
     };
 
     /**

@@ -217,14 +217,15 @@ TraceReplayer::run()
     if (result.error.empty() && trace.empty())
         result.error = "empty trace";
     ReplayPrep own;
-    if (result.error.empty() && prep == nullptr) {
+    const ReplayPrep *checked = prep;
+    if (result.error.empty() && checked == nullptr) {
         own = buildReplayPrep(cdfg, trace);
-        prep = &own;
+        checked = &own;
     }
     if (result.error.empty())
-        result.error = prep->error;
+        result.error = checked->error;
     if (result.error.empty() &&
-        prep->maxBlockInsts > cfg.reservationQueueSize) {
+        checked->maxBlockInsts > cfg.reservationQueueSize) {
         result.error = "a traced block exceeds the reservation queue "
                        "(the full simulation would fatal too)";
     }
@@ -249,8 +250,6 @@ TraceReplayer::run()
             servicePass(cyc);
     }
     engine = nullptr;
-    if (prep == &own)
-        prep = nullptr;
 
     result.ok = true;
     result.stats = eng.stats();

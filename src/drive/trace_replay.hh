@@ -183,7 +183,7 @@ class TraceReplayer : private core::EngineClient
     const core::DeviceConfig cfg;
     const core::DynTrace &trace;
     const ReplaySpmConfig spmCfg;
-    const ReplayPrep *prep;
+    const ReplayPrep *const prep;
 
     /** The engine being clocked (during run() only). */
     core::RuntimeEngine *engine = nullptr;

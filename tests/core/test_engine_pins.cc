@@ -20,7 +20,6 @@
 #include "mem/interconnect.hh"
 #include "mem/simple_dram.hh"
 #include "obs/critical_path.hh"
-#include "obs/host_telemetry.hh"
 
 using namespace salam;
 using namespace salam::core;
