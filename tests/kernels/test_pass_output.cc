@@ -41,6 +41,17 @@ struct PassCase
     std::uint64_t hash;
 };
 
+/**
+ * Prints a case as its label. Without it gtest prints the raw bytes,
+ * pointers included, so the listed test names would change with
+ * every process's address layout.
+ */
+void
+PrintTo(const PassCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 /** Every makeKernel name, plus the configurations the benches use. */
 const PassCase passCases[] = {
     {"bfs_queue", [] { return makeKernel("bfs-queue"); },
