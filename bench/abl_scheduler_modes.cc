@@ -18,12 +18,13 @@
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 
 int
 main(int argc, char **argv)
 {
-    salam::bench::parseObsArgs(argc, argv);
+    const ObsOptions options = parseObsArgs(argc, argv);
     header("Ablation: dataflow vs block-sequential scheduling");
     std::printf("%-14s %12s %12s %9s\n", "Benchmark", "dataflow",
                 "sequential", "speedup");
@@ -32,11 +33,11 @@ main(int argc, char **argv)
     int count = 0;
     for (const auto &kernel : machsuiteKernels()) {
         core::DeviceConfig dataflow;
-        BenchRun a = runSalam(*kernel, dataflow);
+        BenchRun a = runSalam(options, *kernel, dataflow);
 
         core::DeviceConfig fsm;
         fsm.blockSequentialImport = true;
-        BenchRun b = runSalam(*kernel, fsm);
+        BenchRun b = runSalam(options, *kernel, fsm);
 
         double speedup = static_cast<double>(b.cycles) /
             static_cast<double>(a.cycles);

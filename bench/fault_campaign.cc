@@ -19,13 +19,16 @@
  */
 
 #include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "common.hh"
+#include "inject/fault_injector.hh"
 #include "sys/system.hh"
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 using namespace salam::sys;
 using namespace salam::mem;
@@ -41,8 +44,7 @@ constexpr std::uint64_t dataBytes = 4ull * count;
 int
 main(int argc, char **argv)
 {
-    parseObsArgs(argc, argv);
-    const ObsOptions &options = obsOptions();
+    const ObsOptions options = parseObsArgs(argc, argv);
 
     // Positive inputs: ReLU output == input, bit-exact.
     Lcg rng(7);
@@ -52,9 +54,9 @@ main(int argc, char **argv)
 
     Simulation sim;
     std::unique_ptr<inject::FaultInjector> injector =
-        makeFaultInjector(sim);
+        makeFaultInjector(options, sim);
     ScopedTerminationHook flush_on_fatal =
-        benchTerminationHook(sim, "fault_campaign.relu");
+        installTerminationHook(options, sim, "fault_campaign.relu");
 
     SystemConfig syscfg;
     syscfg.watchdogWindowTicks = options.watchdogTicks;
@@ -140,10 +142,9 @@ main(int argc, char **argv)
                 injector ? injector->log().size()
                          : static_cast<std::size_t>(0));
 
-    if (!options.reportOut.empty() || benchStore() != nullptr) {
+    if (recordsRuns(options)) {
         obs::RunReport report;
         report.run = "fault_campaign.relu";
-        report.commandLine = options.commandLine;
         report.cycles = relu.cu->cycleCount();
         report.extra = {
             {"end_to_end_ticks", static_cast<double>(end)},
@@ -152,38 +153,29 @@ main(int argc, char **argv)
                       : 0.0},
         };
         report.statsJson = sim.stats().dumpJsonString();
-        if (!options.reportOut.empty() &&
-            !report.appendToFile(options.reportOut))
-            fatal("could not append run report to '%s'",
-                  options.reportOut.c_str());
-        if (obs::ResultStore *store = benchStore()) {
-            store->appendRunReport(report, options.benchName);
-            // One queryable record per fired fault, so a campaign
-            // over many seeds can be sliced by site/kind with
-            // salam-query instead of scraping stdout.
-            if (injector) {
-                for (const inject::InjectionRecord &rec :
-                     injector->log()) {
-                    obs::StoreRecord srec;
-                    srec.kind = "injection";
-                    srec.bench = options.benchName;
-                    srec.kernel =
-                        inject::faultKindName(rec.kind);
-                    std::ostringstream payload;
-                    payload << "{\"tick\":" << rec.tick
-                            << ",\"fault_kind\":\""
-                            << obs::jsonEscape(
-                                   inject::faultKindName(rec.kind))
-                            << "\",\"site\":\""
-                            << obs::jsonEscape(rec.site)
-                            << "\",\"detail\":\""
-                            << obs::jsonEscape(rec.detail) << "\"}";
-                    srec.json = payload.str();
-                    store->append(std::move(srec));
-                }
+        // One queryable record per fired fault, so a campaign over
+        // many seeds can be sliced by site/kind with salam-query
+        // instead of scraping stdout.
+        std::vector<obs::StoreRecord> records;
+        if (injector) {
+            for (const inject::InjectionRecord &rec : injector->log()) {
+                obs::StoreRecord srec;
+                srec.kind = "injection";
+                srec.kernel = inject::faultKindName(rec.kind);
+                std::ostringstream payload;
+                payload << "{\"tick\":" << rec.tick
+                        << ",\"fault_kind\":\""
+                        << obs::jsonEscape(
+                               inject::faultKindName(rec.kind))
+                        << "\",\"site\":\""
+                        << obs::jsonEscape(rec.site)
+                        << "\",\"detail\":\""
+                        << obs::jsonEscape(rec.detail) << "\"}";
+                srec.json = payload.str();
+                records.push_back(std::move(srec));
             }
-            store->flush();
         }
+        recordRun(options, std::move(report), std::move(records));
     }
     return 0;
 }

@@ -18,6 +18,7 @@
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 using namespace salam::hls;
 
@@ -29,7 +30,7 @@ main(int argc, char **argv)
     // it to prove a wide bus with unlimited credits is
     // cycle-identical to the crossbar.
     InterconnectChoice fabric;
-    salam::bench::parseObsArgs(argc, argv, fabric.options());
+    const ObsOptions options = parseObsArgs(argc, argv, fabric.options());
     header("Fig. 10: performance validation (cycles vs HLS)");
     std::printf("%-14s %12s %12s %9s\n", "Benchmark",
                 "gem5-SALAM", "HLS", "error");
@@ -53,7 +54,7 @@ main(int argc, char **argv)
         memcfg.spmReadPorts = 2;
         memcfg.spmWritePorts = 2;
         fabric.apply(memcfg);
-        BenchRun salam_run = runSalam(*kernel, dev, memcfg);
+        BenchRun salam_run = runSalam(options, *kernel, dev, memcfg);
 
         // HLS surrogate on the same optimized IR.
         ir::Module mod("m");

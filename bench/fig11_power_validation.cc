@@ -13,13 +13,14 @@
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 using namespace salam::hls;
 
 int
 main(int argc, char **argv)
 {
-    salam::bench::parseObsArgs(argc, argv);
+    const ObsOptions options = parseObsArgs(argc, argv);
     header("Fig. 11: power validation (mW vs Design Compiler)");
     std::printf("%-14s %12s %12s %9s\n", "Benchmark",
                 "gem5-SALAM", "DC", "error");
@@ -34,7 +35,7 @@ main(int argc, char **argv)
         auto kernel = makeKernel(name);
         core::DeviceConfig dev;
         dev.blockSequentialImport = true; // ILP-matched to HLS
-        BenchRun salam_run = runSalam(*kernel, dev);
+        BenchRun salam_run = runSalam(options, *kernel, dev);
         double salam_power =
             salam_run.report.power.dynamicFuMw +
             salam_run.report.power.dynamicRegisterMw +

@@ -13,13 +13,14 @@
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 using namespace salam::hls;
 
 int
 main(int argc, char **argv)
 {
-    salam::bench::parseObsArgs(argc, argv);
+    parseObsArgs(argc, argv);
     header("Fig. 12: area validation (um^2 vs Design Compiler)");
     std::printf("%-14s %12s %12s %9s\n", "Benchmark",
                 "gem5-SALAM", "DC", "error");

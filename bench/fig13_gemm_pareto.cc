@@ -15,12 +15,16 @@
  * serial output.
  */
 
+#include <sstream>
+
 #include "common.hh"
 #include "drive/sweep_runner.hh"
+#include "drive/sweep_spec.hh"
 #include "hw/cacti_lite.hh"
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 
 int
@@ -29,7 +33,7 @@ main(int argc, char **argv)
     // --fu-limits trims the FU axis (e.g. "16" for a 5-point slice);
     // check.sh diffs two such slices with salam-query.
     std::vector<unsigned> fu_limits = {8u, 16u, 32u, 64u};
-    salam::bench::parseObsArgs(
+    const ObsOptions options = parseObsArgs(
         argc, argv,
         {{"--fu-limits", "<a,b,...>",
           "comma-separated FU-allocation axis (default 8,16,32,64)",
@@ -39,7 +43,7 @@ main(int argc, char **argv)
               std::istringstream is(v);
               while (std::getline(is, item, ',')) {
                   std::uint64_t limit =
-                      benchParseUint("--fu-limits", item);
+                      parseUint("--fu-limits", item);
                   if (limit == 0 || limit > 4096)
                       fatal("--fu-limits: bad FU count '%s'",
                             item.c_str());
@@ -90,7 +94,7 @@ main(int argc, char **argv)
     };
     std::vector<Row> rows(spec.numPoints());
 
-    auto sweep_opts = sweepRunnerOptions(effectiveSweepThreads());
+    auto sweep_opts = sweepRunnerOptions(options);
     // Resume identity: mirror the dev/memcfg construction inside the
     // point function, so the hash of an unrun point matches the
     // RunReport a completed run of it recorded.
@@ -112,7 +116,7 @@ main(int argc, char **argv)
         BenchMemory memcfg;
         unsigned ports = point_config(idx, dev, memcfg);
 
-        BenchRun run = runSalamMode(*kernel, "n32u32", dev, memcfg);
+        BenchRun run = runSalamMode(options, *kernel, "n32u32", dev, memcfg);
         const hw::PowerBreakdown &p = run.report.power;
 
         double datapath = p.dynamicFuMw + p.dynamicRegisterMw +
@@ -169,6 +173,5 @@ main(int argc, char **argv)
                 spec.numPoints(), runner.lastThreads(),
                 runner.lastThreads() == 1 ? "" : "s",
                 runner.lastWallSeconds());
-    writeSweepHostTelemetry(runner, "fig13.gemm_pareto");
-    return sweepExitCode(runner);
+    return finishSweep(options, runner, "fig13.gemm_pareto");
 }

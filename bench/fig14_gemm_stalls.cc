@@ -14,12 +14,13 @@
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 
 int
 main(int argc, char **argv)
 {
-    salam::bench::parseObsArgs(argc, argv);
+    const ObsOptions options = parseObsArgs(argc, argv);
     constexpr unsigned gemmN = 32;
     constexpr unsigned unroll = 32;
 
@@ -44,7 +45,7 @@ main(int argc, char **argv)
         BenchMemory memcfg;
         memcfg.spmReadPorts = ports;
         memcfg.spmWritePorts = ports;
-        BenchRun run = runSalam(*kernel, dev, memcfg);
+        BenchRun run = runSalam(options, *kernel, dev, memcfg);
         rows.push_back({ports, run.stats});
 
         double total = static_cast<double>(run.stats.totalCycles);

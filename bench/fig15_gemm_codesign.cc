@@ -15,15 +15,17 @@
 
 #include "common.hh"
 #include "drive/sweep_runner.hh"
+#include "drive/sweep_spec.hh"
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 
 int
 main(int argc, char **argv)
 {
-    salam::bench::parseObsArgs(argc, argv);
+    const ObsOptions options = parseObsArgs(argc, argv);
     constexpr unsigned gemmN = 32;
     constexpr unsigned unroll = 32;
     constexpr unsigned fadd_units = 64;
@@ -38,7 +40,7 @@ main(int argc, char **argv)
     spec.axis("ports", {64, 32, 16, 8, 4});
     std::vector<Row> rows(spec.numPoints());
 
-    auto sweep_opts = sweepRunnerOptions(effectiveSweepThreads());
+    auto sweep_opts = sweepRunnerOptions(options);
     sweep_opts.pointAxes = [&](std::size_t idx) {
         return spec.axesJson(idx);
     };
@@ -57,7 +59,7 @@ main(int argc, char **argv)
             memcfg.spmReadPorts = ports;
             memcfg.spmWritePorts = ports;
             rows[idx] = {ports,
-                         runSalamMode(*kernel, "n32u32", dev,
+                         runSalamMode(options, *kernel, "n32u32", dev,
                                       memcfg),
                          dev};
             return "{\"mode\":\"" + rows[idx].run.simMode + "\"}";
@@ -153,6 +155,5 @@ main(int argc, char **argv)
                     100.0 * s.storesIssued / issued,
                     100.0 * s.fpOpsIssued / issued, datapath);
     }
-    writeSweepHostTelemetry(runner, "fig15.gemm_codesign");
-    return sweepExitCode(runner);
+    return finishSweep(options, runner, "fig15.gemm_codesign");
 }

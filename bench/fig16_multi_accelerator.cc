@@ -22,6 +22,7 @@
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 using namespace salam::sys;
 using namespace salam::mem;
@@ -388,7 +389,7 @@ main(int argc, char **argv)
     // check.sh contention smoke compares xbar against a narrow AXI
     // bus here.
     InterconnectChoice fabric;
-    salam::bench::parseObsArgs(argc, argv, fabric.options());
+    const ObsOptions options = parseObsArgs(argc, argv, fabric.options());
     InterconnectConfig icfg =
         fabric.direct() ? InterconnectConfig{} : fabric.config();
     auto image = makeImage();
@@ -426,13 +427,13 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(t_shared),
                 static_cast<unsigned long long>(t_stream));
 
-    // --store-out: one record per fabric configuration, queryable
-    // with salam-query (the configHash distinguishes fabric knobs,
-    // so xbar vs narrow-axi runs land as separate records).
-    if (obs::ResultStore *store = benchStore()) {
+    // --report-out/--store-out: one record per fabric
+    // configuration, queryable with salam-query (the configHash
+    // distinguishes fabric knobs, so xbar vs narrow-axi runs land as
+    // separate records).
+    if (recordsRuns(options)) {
         obs::RunReport report;
         report.run = "fig16-contention";
-        report.commandLine = obsOptions().commandLine;
         report.configHash = obs::fnv1aHash(
             std::string("fig16|ic=") + fabric.kind + "|icw=" +
             std::to_string(fabric.busWidthBytes) + "|icc=" +
@@ -448,7 +449,7 @@ main(int argc, char **argv)
                  ? -1.0
                  : static_cast<double>(fabric.credits)},
         };
-        store->appendRunReport(report, obsOptions().benchName);
+        recordRun(options, std::move(report));
     }
 
     bool shape = t_shared < t_private && t_stream < t_shared;

@@ -9,12 +9,13 @@
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 
 int
 main(int argc, char **argv)
 {
-    salam::bench::parseObsArgs(argc, argv);
+    const ObsOptions options = parseObsArgs(argc, argv);
     header("Fig. 4: total power contribution breakdown "
            "(private SPM)");
     std::printf("%-14s %8s | %7s %7s %7s %7s %7s %7s %7s\n",
@@ -22,7 +23,7 @@ main(int argc, char **argv)
                 "spmWr", "stFU", "stReg", "stSPM");
 
     for (const auto &kernel : machsuiteKernels()) {
-        BenchRun run = runSalam(*kernel);
+        BenchRun run = runSalam(options, *kernel);
         const hw::PowerBreakdown &p = run.report.power;
         double total = p.totalMw();
         auto pct = [total](double v) {

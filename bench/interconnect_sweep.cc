@@ -25,14 +25,17 @@
  */
 
 #include <algorithm>
+#include <sstream>
 #include <vector>
 
 #include "common.hh"
 #include "drive/sweep_runner.hh"
+#include "drive/sweep_spec.hh"
 #include "sys/system.hh"
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 using namespace salam::sys;
 using namespace salam::mem;
@@ -167,11 +170,11 @@ main(int argc, char **argv)
         std::istringstream is(v);
         while (std::getline(is, item, ','))
             out.push_back(static_cast<unsigned>(
-                benchParseUint(flag, item)));
+                parseUint(flag, item)));
         if (out.empty())
             fatal("%s needs at least one value", flag);
     };
-    salam::bench::parseObsArgs(
+    const ObsOptions options = parseObsArgs(
         argc, argv,
         {{"--skip-cluster-curve", "",
           "run only the SweepSpec grid, not the fig16-cluster "
@@ -225,7 +228,7 @@ main(int argc, char **argv)
     // is the one run the trace-reuse fast path may serve.
     core::DeviceConfig base_dev;
     BenchMemory base_mem;
-    BenchRun baseline = runSalamMode(*makeGemm(gemmN, unroll),
+    BenchRun baseline = runSalamMode(options, *makeGemm(gemmN, unroll),
                                      trace_key, base_dev, base_mem);
     std::printf("%-8s %-10s %-10s %12s %8s  %s\n", "kind",
                 "bus_width", "credits", "cycles", "vs_base",
@@ -242,7 +245,7 @@ main(int argc, char **argv)
     };
     std::vector<Row> rows(spec.numPoints());
 
-    auto sweep_opts = sweepRunnerOptions(effectiveSweepThreads());
+    auto sweep_opts = sweepRunnerOptions(options);
     const std::string kernel_name = makeGemm(gemmN, unroll)->name();
     sweep_opts.pointHash = [&](std::size_t idx) {
         core::DeviceConfig dev;
@@ -261,7 +264,7 @@ main(int argc, char **argv)
             BenchMemory memcfg;
             point_config(idx, dev, memcfg);
             BenchRun run =
-                runSalamMode(*kernel, trace_key, dev, memcfg);
+                runSalamMode(options, *kernel, trace_key, dev, memcfg);
             rows[idx] = {run.cycles, run.simMode};
             return "{\"mode\":\"" + run.simMode + "\"}";
         });
@@ -299,7 +302,6 @@ main(int argc, char **argv)
                 spec.numPoints(), runner.lastThreads(),
                 runner.lastThreads() == 1 ? "" : "s",
                 runner.lastWallSeconds());
-    writeSweepHostTelemetry(runner, "interconnect.sweep");
 
     // Part 2: contention curves on fig16's multi-accelerator
     // cluster (private-SPM pipeline, AXI fabric).
@@ -341,5 +343,5 @@ main(int argc, char **argv)
             }
         }
     }
-    return sweepExitCode(runner);
+    return finishSweep(options, runner, "interconnect.sweep");
 }

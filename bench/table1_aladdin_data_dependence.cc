@@ -17,6 +17,7 @@
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 using namespace salam::baseline;
 
@@ -48,7 +49,7 @@ count(const AladdinResult &result, hw::FuType type)
 int
 main(int argc, char **argv)
 {
-    salam::bench::parseObsArgs(argc, argv);
+    parseObsArgs(argc, argv);
     header("Table I: Aladdin datapath vs data-dependent execution");
     std::printf("%-12s %-9s %6s %6s %12s\n", "Accelerator",
                 "Dataset", "FMUL", "FADD", "Int Shifter");

@@ -16,6 +16,7 @@
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 using namespace salam::baseline;
 
@@ -44,7 +45,7 @@ run(const AladdinConfig &cfg)
 int
 main(int argc, char **argv)
 {
-    salam::bench::parseObsArgs(argc, argv);
+    parseObsArgs(argc, argv);
     header("Table II: Aladdin datapath vs. memory design "
            "(GEMM, fully unrolled inner loop)");
     std::printf("%-8s %-8s %6s %6s\n", "Type", "Size", "FMUL",

@@ -16,10 +16,12 @@
 #include "common.hh"
 #include "hls/fpga_model.hh"
 #include "hls/hls_scheduler.hh"
+#include "mem/backdoor.hh"
 #include "sys/system.hh"
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 using namespace salam::sys;
 using namespace salam::mem;
@@ -147,7 +149,7 @@ referenceTimes(const kernels::Kernel &kernel)
 int
 main(int argc, char **argv)
 {
-    salam::bench::parseObsArgs(argc, argv);
+    parseObsArgs(argc, argv);
     header("Table III: system validation vs FPGA surrogate");
     std::printf("%-14s | %10s %10s %10s | %10s %10s %10s | "
                 "%8s %8s %8s\n",

@@ -36,6 +36,7 @@
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::drive;
 using namespace salam::kernels;
 using namespace salam::baseline;
 
@@ -56,7 +57,7 @@ struct KernelRate
  * so serial and parallel legs do the same work.
  */
 double
-timedGemmSweep(unsigned threads,
+timedGemmSweep(const ObsOptions &options, unsigned threads,
                drive::SweepHostSummary *host = nullptr)
 {
     struct Config
@@ -77,8 +78,8 @@ timedGemmSweep(unsigned threads,
     // machine-checkable, not just the headline speedup.
     opts.hostTelemetry = true;
     opts.captureSimTracePoint = -1;
-    opts.store = benchStore();
-    opts.storeName = obsOptions().benchName;
+    opts.store = resultStore(options);
+    opts.storeName = options.benchName;
     drive::SweepRunner runner(opts);
     auto results = runner.run(grid.size(), [&](std::size_t idx) {
         auto kernel = makeGemm(32, 32);
@@ -94,7 +95,7 @@ timedGemmSweep(unsigned threads,
         BenchMemory memcfg;
         memcfg.spmReadPorts = grid[idx].ports;
         memcfg.spmWritePorts = grid[idx].ports;
-        runSalam(*kernel, dev, memcfg);
+        runSalam(options, *kernel, dev, memcfg);
         return std::string();
     });
     for (const auto &r : results) {
@@ -166,7 +167,7 @@ main(int argc, char **argv)
     std::string simrate_out = "BENCH_simrate.json";
     bool gemm_only = false;
     bool no_sweep = false;
-    salam::bench::parseObsArgs(
+    const ObsOptions options = parseObsArgs(
         argc, argv,
         {{"--simrate-out", "<file>",
           "simulation-rate JSON path (default BENCH_simrate.json)",
@@ -203,7 +204,7 @@ main(int argc, char **argv)
                 "/tmp/salam_table4_trace.txt");
 
             // gem5-SALAM: compilation + engine simulation.
-            BenchRun salam_run = runSalam(*kernel);
+            BenchRun salam_run = runSalam(options, *kernel);
             rates.push_back(
                 {kernel->name(), salam_run.cycles,
                  salam_run.simulateSeconds,
@@ -236,7 +237,7 @@ main(int argc, char **argv)
         for (const auto &kernel : machsuiteKernels()) {
             if (kernel->name() != "gemm")
                 continue;
-            BenchRun salam_run = runSalam(*kernel);
+            BenchRun salam_run = runSalam(options, *kernel);
             rates.push_back(
                 {kernel->name(), salam_run.cycles,
                  salam_run.simulateSeconds,
@@ -263,15 +264,14 @@ main(int argc, char **argv)
     // Serial vs parallel sweep: the same 8 GEMM points, once on one
     // thread and once on the worker pool. --sweep-threads 0 means
     // "all hardware threads" (resolveThreads); the default probe
-    // width stays 4.
-    unsigned sweep_threads = obsOptions().sweepThreads != 1
-        ? effectiveSweepThreads() : 4;
-    sweep_threads = drive::SweepRunner::resolveThreads(sweep_threads);
+    // width stays 4, and per-run artifacts force 1 like any sweep.
+    unsigned sweep_threads = drive::SweepRunner::resolveThreads(
+        effectiveSweepThreads(options, 4));
     header("GEMM sweep wall-clock: serial vs parallel");
-    double serial_seconds = timedGemmSweep(1);
+    double serial_seconds = timedGemmSweep(options, 1);
     drive::SweepHostSummary parallel_host;
     double parallel_seconds =
-        timedGemmSweep(sweep_threads, &parallel_host);
+        timedGemmSweep(options, sweep_threads, &parallel_host);
     std::printf("8 points serial:     %.3fs\n", serial_seconds);
     std::printf("8 points, %u threads: %.3fs (%.2fx)\n",
                 sweep_threads, parallel_seconds,

@@ -18,14 +18,10 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/compute_unit.hh"
-#include "core/power_report.hh"
 #include "drive/sweep_runner.hh"
 #include "drive/sweep_spec.hh"
+#include "drive/testbench.hh"
 #include "kernels/machsuite.hh"
-#include "mem/backdoor.hh"
-#include "mem/scratchpad.hh"
-#include "sim/simulation.hh"
 
 using namespace salam;
 using namespace salam::kernels;
@@ -48,7 +44,6 @@ evaluate(unsigned unroll, unsigned fp_units, unsigned ports)
     ir::IRBuilder b(mod);
     ir::Function *fn = kernel->buildOptimized(b);
 
-    Simulation sim;
     core::DeviceConfig dev;
     dev.setFuLimit(hw::FuType::FpAddSubDouble, fp_units);
     dev.setFuLimit(hw::FuType::FpMultiplierDouble, fp_units);
@@ -56,30 +51,15 @@ evaluate(unsigned unroll, unsigned fp_units, unsigned ports)
     dev.writePortsPerCycle = ports;
 
     mem::ScratchpadConfig scfg;
-    scfg.range = mem::AddrRange{0x10000, 0x10000 + 64 * 1024};
+    scfg.range = mem::AddrRange{drive::Testbench::spmBase,
+                                drive::Testbench::spmBase + 64 * 1024};
     scfg.readPorts = ports;
     scfg.writePorts = ports;
-    auto &spm = sim.create<mem::Scratchpad>("spm", dev.clockPeriod,
-                                            scfg);
-
-    core::CommInterfaceConfig ccfg;
-    ccfg.mmrRange = mem::AddrRange{0x2000, 0x2000 + 256};
-    ccfg.dataPorts.push_back({"spm", {scfg.range}});
-    auto &comm = sim.create<core::CommInterface>(
-        "comm", dev.clockPeriod, ccfg);
-    mem::bindPorts(comm.dataPort(0), spm.port(0));
-    auto &cu = sim.create<core::ComputeUnit>("acc", *fn, dev, comm);
-
-    mem::ScratchpadBackdoor backdoor(spm);
-    kernel->seed(backdoor, 0x10000);
-    cu.start(kernel->args(0x10000));
-    sim.run();
-    if (!cu.finished() ||
-        !kernel->check(backdoor, 0x10000).empty()) {
+    drive::Testbench tb(*fn, dev, scfg);
+    if (!tb.runKernel(*kernel).empty())
         fatal("sweep point produced wrong results");
-    }
 
-    core::AcceleratorReport report = core::buildReport(cu, &spm);
+    core::AcceleratorReport report = core::buildReport(*tb.cu, tb.spm);
     return Point{report.cycles, report.power.totalMw(),
                  report.area.totalUm2()};
 }

@@ -205,6 +205,13 @@ if c++ ${tsan_flags} -o "${smoke_dir}/tsan_probe" \
         --resume "${smoke_dir}/tsan_store" \
         >"${smoke_dir}/tsan_resume.out"
     grep -q "cached" "${smoke_dir}/tsan_resume.out"
+    # The fast path under worker concurrency: TraceCache::getOrBuild
+    # with concurrent waiters, then concurrent replays over one
+    # shared IR, trace and prep.
+    TSAN_OPTIONS=halt_on_error=1 \
+        "${tsan_dir}/bench/fig13_gemm_pareto" --sweep-threads 4 \
+        --sim-mode fast --store-out "${smoke_dir}/tsan_fast_store" \
+        >"${smoke_dir}/tsan_fast.out"
     # Interconnect axes under worker concurrency: fabric points all
     # fall back to full simulation, so this drives the AXI bus and
     # crossbar credit paths from 4 sweep threads at once.
@@ -438,6 +445,30 @@ assert not changed, \
     f"auto mode diverged from full simulation at points {changed}"
 print("interconnect auto-fallback gate ok: 9 paired points, "
       "0 changed")
+PYEOF
+
+echo "== per-run outputs: fast-mode artifacts, fig16 report"
+# A per-run artifact blocks the fast path: the points fall back to
+# full simulation and the stats file the user asked for is written.
+"${perf_dir}/bench/fig13_gemm_pareto" --fu-limits 8 --sim-mode fast \
+    --stats-out "${smoke_dir}/fast_stats.json" \
+    >"${smoke_dir}/fast_stats.out" 2>&1
+# fig16 sends its record through the recorder, which also writes
+# the --report-out line.
+"${perf_dir}/bench/fig16_multi_accelerator" \
+    --report-out "${smoke_dir}/fig16_report.jsonl" >/dev/null
+python3 - "${smoke_dir}" <<'PYEOF'
+import json, os, sys
+d = sys.argv[1]
+stats = f"{d}/fast_stats.json"
+assert os.path.exists(stats), "--sim-mode fast wrote no --stats-out file"
+json.load(open(stats))
+report = f"{d}/fig16_report.jsonl"
+assert os.path.exists(report), "fig16 wrote no --report-out file"
+lines = open(report).read().splitlines()
+assert len(lines) == 1, f"fig16 report has {len(lines)} lines, not 1"
+assert json.loads(lines[0])["run"] == "fig16-contention", lines[0]
+print("per-run outputs ok: fast-mode stats JSON, one fig16 report line")
 PYEOF
 
 echo "== robustness: kill-and-resume, timeouts, retry records"

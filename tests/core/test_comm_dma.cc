@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "accel_fixture.hh"
 #include "core/dma.hh"
 #include "core/power_report.hh"
+#include "drive/testbench.hh"
 #include "mem/crossbar.hh"
 #include "mem/simple_dram.hh"
 #include "opt/unroll.hh"
@@ -14,17 +14,17 @@
 using namespace salam;
 using namespace salam::ir;
 using namespace salam::core;
-using salam::test::AccelSystem;
+using salam::drive::Testbench;
 using salam::test::TestRequester;
-using salam::test::mmrBase;
-using salam::test::spmBase;
+constexpr std::uint64_t mmrBase = Testbench::mmrBase;
+constexpr std::uint64_t spmBase = Testbench::spmBase;
 
 TEST(CommInterface, MmrProgrammingStartsKernel)
 {
     Module mod("m");
     IRBuilder b(mod);
     Function *fn = salam::test::buildVecAdd(b, 8);
-    AccelSystem sys(*fn);
+    Testbench sys(*fn);
     for (int i = 0; i < 8; ++i) {
         std::int32_t v = i;
         sys.spm->backdoorWrite(spmBase + 4u * static_cast<unsigned>(i),
@@ -68,7 +68,7 @@ TEST(CommInterface, RegisterFileReadWrite)
     Module mod("m");
     IRBuilder b(mod);
     Function *fn = salam::test::buildVecAdd(b, 4);
-    AccelSystem sys(*fn);
+    Testbench sys(*fn);
     sys.comm->writeReg(5, 0xCAFEBABE);
     EXPECT_EQ(sys.comm->readReg(5), 0xCAFEBABEu);
     EXPECT_EQ(sys.comm->readReg(6), 0u);
@@ -168,7 +168,7 @@ TEST(PowerReport, BreakdownFieldsArePopulated)
     Module mod("m");
     IRBuilder b(mod);
     Function *fn = salam::test::buildVecAdd(b, 32);
-    AccelSystem sys(*fn);
+    Testbench sys(*fn);
     sys.run({RuntimeValue::fromPointer(spmBase),
              RuntimeValue::fromPointer(spmBase + 0x1000),
              RuntimeValue::fromPointer(spmBase + 0x2000)});

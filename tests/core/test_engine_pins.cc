@@ -13,7 +13,7 @@
 
 #include <sstream>
 
-#include "core/accel_fixture.hh"
+#include "drive/testbench.hh"
 #include "kernels/machsuite.hh"
 #include "mem/backdoor.hh"
 #include "mem/cache.hh"
@@ -90,32 +90,15 @@ runFabricGemm(const InterconnectConfig &ic)
     ir::IRBuilder b(mod);
     ir::Function *fn = kernel->buildOptimized(b);
 
-    Simulation sim;
     DeviceConfig dev;
     dev.readPortsPerCycle = dev.writePortsPerCycle = 4;
-    ScratchpadConfig scfg = test::AccelSystem::defaultSpm();
-    auto &spm = sim.create<Scratchpad>("spm", dev.clockPeriod, scfg);
-    CommInterfaceConfig ccfg;
-    ccfg.mmrRange = AddrRange{test::mmrBase, test::mmrBase + 256};
-    ccfg.dataPorts.push_back({"spm", {scfg.range}});
-    auto &comm = sim.create<CommInterface>("comm", dev.clockPeriod, ccfg);
-    Interconnect &fabric =
-        makeInterconnect(sim, "fabric", dev.clockPeriod, ic);
-    fabric.connectDevice(spm.port(0), scfg.range);
-    bindPorts(comm.dataPort(0), fabric.addRequester("acc.data"));
-    auto &cu = sim.create<ComputeUnit>("acc", *fn, dev, comm);
-
-    ScratchpadBackdoor backdoor(spm);
-    kernel->seed(backdoor, test::spmBase);
-    cu.start(kernel->args(test::spmBase));
-    sim.run();
-    EXPECT_TRUE(cu.finished());
-    EXPECT_EQ(kernel->check(backdoor, test::spmBase), "");
-    return cu.stats();
+    drive::Testbench tb(*fn, dev, drive::Testbench::defaultSpm(), &ic);
+    EXPECT_EQ(tb.runKernel(*kernel), "");
+    return tb.cu->stats();
 }
 
 /**
- * Run @p kernel on the SPM fixture, optionally profiled; with
+ * Run @p kernel on the SPM testbench, optionally profiled; with
  * @p causes, also return the critical path's per-cause cycles.
  */
 EngineStats
@@ -128,26 +111,23 @@ runProfiled(const kernels::Kernel &kernel, bool profile,
     DeviceConfig dev;
     dev.setFuLimit(hw::FuType::FpAddSubDouble, 1);
     dev.setFuLimit(hw::FuType::IntAdder, 2);
-    ScratchpadConfig scfg = test::AccelSystem::defaultSpm();
+    ScratchpadConfig scfg = drive::Testbench::defaultSpm();
     scfg.readPorts = 1;
     scfg.latencyCycles = 2;
-    test::AccelSystem sys(*fn, dev, scfg);
+    drive::Testbench tb(*fn, dev, scfg);
     if (profile)
-        sys.sim.enableProfiling();
-    ScratchpadBackdoor backdoor(*sys.spm);
-    kernel.seed(backdoor, test::spmBase);
-    sys.run(kernel.args(test::spmBase));
-    EXPECT_EQ(kernel.check(backdoor, test::spmBase), "");
+        tb.sim.enableProfiling();
+    EXPECT_EQ(tb.runKernel(kernel), "");
     if (causes != nullptr) {
-        sys.sim.finalizeAll();
+        tb.sim.finalizeAll();
         obs::CriticalPathReport report = obs::analyzeCriticalPath(
-            *sys.sim.profilers().front().second);
+            *tb.sim.profilers().front().second);
         std::ostringstream os;
         for (std::uint64_t cycles : report.causeCycles)
             os << cycles << ",";
         *causes = os.str();
     }
-    return sys.cu->stats();
+    return tb.cu->stats();
 }
 
 } // namespace

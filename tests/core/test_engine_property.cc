@@ -8,13 +8,15 @@
 
 #include <gtest/gtest.h>
 
-#include "accel_fixture.hh"
+#include "drive/testbench.hh"
+#include "ir/interpreter.hh"
+#include "ir/ir_builder.hh"
 #include "mem/backdoor.hh"
 
 using namespace salam;
 using namespace salam::ir;
-using salam::test::AccelSystem;
-using salam::test::spmBase;
+using salam::drive::Testbench;
+constexpr std::uint64_t spmBase = Testbench::spmBase;
 
 namespace
 {
@@ -149,7 +151,7 @@ TEST_P(EngineProperty, TimedEngineMatchesInterpreter)
             dev.blockSequentialImport = sequential;
             dev.readPortsPerCycle = ports;
             dev.writePortsPerCycle = ports;
-            AccelSystem sys(*fn, dev);
+            Testbench sys(*fn, dev);
             mem::ScratchpadBackdoor backdoor(*sys.spm);
             Rng data_rng(GetParam() ^ 0xDA7A);
             seedData(backdoor, spmBase, data_rng);

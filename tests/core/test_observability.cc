@@ -16,13 +16,13 @@
 #include "mem/backdoor.hh"
 #include "mem/cache.hh"
 #include "mem/simple_dram.hh"
-#include "support/minijson.hh"
+#include "obs/json_reader.hh"
 
 using namespace salam;
 using namespace salam::core;
 using namespace salam::mem;
-using salam::testsupport::JsonValue;
-using salam::testsupport::parseJson;
+using salam::obs::JsonValue;
+using salam::obs::parseJson;
 
 namespace
 {

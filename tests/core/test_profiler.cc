@@ -13,19 +13,17 @@
 #include <cstdint>
 #include <sstream>
 
-#include "core/compute_unit.hh"
+#include "drive/testbench.hh"
 #include "ir/ir_builder.hh"
 #include "kernels/machsuite.hh"
-#include "mem/backdoor.hh"
-#include "mem/scratchpad.hh"
 #include "obs/critical_path.hh"
-#include "support/minijson.hh"
+#include "obs/json_reader.hh"
 
 using namespace salam;
 using namespace salam::core;
 using namespace salam::mem;
-using salam::testsupport::JsonValue;
-using salam::testsupport::parseJson;
+using salam::obs::JsonValue;
+using salam::obs::parseJson;
 
 namespace
 {
@@ -36,10 +34,8 @@ namespace
  * port, multi-cycle latency) so the run is memory-bound and the
  * critical path must be dominated by memory causes.
  */
-struct ProfiledGemm
+struct ProfiledGemm : drive::Testbench
 {
-    Simulation sim;
-    ComputeUnit *cu = nullptr;
     ir::Module mod{"m"};
     ir::IRBuilder builder{mod};
     obs::CriticalPathReport report;
@@ -50,34 +46,12 @@ struct ProfiledGemm
         sim.enableProfiling();
 
         auto kernel = kernels::makeGemm(4, 1);
-        ir::Function *fn = kernel->build(builder);
-
-        DeviceConfig dev;
-        constexpr std::uint64_t spm_base = 0x10000;
-        std::uint64_t spm_bytes =
-            ((kernel->footprintBytes() + 0xFFF) & ~0xFFFull) +
-            0x1000;
-
-        ScratchpadConfig scfg;
-        scfg.range = AddrRange{spm_base, spm_base + spm_bytes};
+        ScratchpadConfig scfg = kernelSpm(*kernel, {});
         scfg.latencyCycles = latency;
         scfg.readPorts = read_ports;
         scfg.writePorts = 1;
-        auto &spm = sim.create<Scratchpad>("spm", dev.clockPeriod,
-                                           scfg);
-
-        CommInterfaceConfig ccfg;
-        ccfg.mmrRange = AddrRange{0x2000, 0x2000 + 256};
-        ccfg.dataPorts.push_back({"spm", {scfg.range}});
-        auto &comm = sim.create<CommInterface>(
-            "comm", dev.clockPeriod, ccfg);
-        bindPorts(comm.dataPort(0), spm.port(0));
-        cu = &sim.create<ComputeUnit>("acc", *fn, dev, comm);
-
-        ScratchpadBackdoor backdoor(spm);
-        kernel->seed(backdoor, spm_base);
-        cu->start(kernel->args(spm_base));
-        sim.run();
+        build(*kernel->build(builder), DeviceConfig{}, scfg);
+        EXPECT_EQ(runKernel(*kernel), "");
         sim.finalizeAll();
 
         report = obs::analyzeCriticalPath(

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "accel_fixture.hh"
+#include "drive/testbench.hh"
 #include "opt/fold.hh"
 #include "opt/unroll.hh"
 #include "../ir/test_helpers.hh"
@@ -10,8 +10,8 @@
 using namespace salam;
 using namespace salam::ir;
 using namespace salam::core;
-using salam::test::AccelSystem;
-using salam::test::spmBase;
+using salam::drive::Testbench;
+constexpr std::uint64_t spmBase = Testbench::spmBase;
 
 namespace
 {
@@ -113,7 +113,7 @@ TEST(RuntimeEngine, VecAddMatchesInterpreter)
     IRBuilder b(mod);
     Function *fn = salam::test::buildVecAdd(b, 32);
 
-    AccelSystem sys(*fn);
+    Testbench sys(*fn);
     const std::uint64_t a = spmBase, bb = spmBase + 0x1000,
                         c = spmBase + 0x2000;
     for (int i = 0; i < 32; ++i) {
@@ -146,7 +146,7 @@ TEST(RuntimeEngine, DaxpyFloatingPointCorrect)
     IRBuilder b(mod);
     Function *fn = buildDaxpy(b, 16);
 
-    AccelSystem sys(*fn);
+    Testbench sys(*fn);
     const std::uint64_t x = spmBase, y = spmBase + 0x1000;
     for (int i = 0; i < 16; ++i) {
         double vx = 0.5 * i, vy = 100.0 - i;
@@ -180,10 +180,10 @@ TEST(RuntimeEngine, UnrollingReducesCycles)
         core::DeviceConfig dev;
         dev.readPortsPerCycle = 8;
         dev.writePortsPerCycle = 8;
-        mem::ScratchpadConfig scfg = AccelSystem::defaultSpm();
+        mem::ScratchpadConfig scfg = Testbench::defaultSpm();
         scfg.readPorts = 8;
         scfg.writePorts = 8;
-        AccelSystem sys(*fn, dev, scfg);
+        Testbench sys(*fn, dev, scfg);
         return sys.run({RuntimeValue::fromPointer(spmBase),
                         RuntimeValue::fromPointer(spmBase + 0x1000),
                         RuntimeValue::fromPointer(spmBase + 0x2000)});
@@ -202,7 +202,7 @@ TEST(RuntimeEngine, DataDependentControlExecutesCorrectly)
     IRBuilder b(mod);
     Function *fn = buildGuardedShift(b, 16);
 
-    AccelSystem sys(*fn);
+    Testbench sys(*fn);
     const std::uint64_t in = spmBase, out = spmBase + 0x1000;
     for (int i = 0; i < 16; ++i) {
         std::int64_t v = (i % 3 == 0) ? 100 + i : i;
@@ -229,7 +229,7 @@ TEST(RuntimeEngine, DataDependentCyclesVaryWithInput)
         Module mod("m");
         IRBuilder b(mod);
         Function *fn = buildGuardedShift(b, 64);
-        AccelSystem sys(*fn);
+        Testbench sys(*fn);
         for (int i = 0; i < 64; ++i) {
             std::int64_t v = trigger ? 100 : 1;
             sys.spm->backdoorWrite(
@@ -262,10 +262,10 @@ TEST(RuntimeEngine, FuLimitsForceReuseAndSlowdown)
             dev.setFuLimit(hw::FuType::FpMultiplierDouble,
                            fadd_limit);
         }
-        mem::ScratchpadConfig scfg = AccelSystem::defaultSpm();
+        mem::ScratchpadConfig scfg = Testbench::defaultSpm();
         scfg.readPorts = 16;
         scfg.writePorts = 16;
-        AccelSystem sys(*fn, dev, scfg);
+        Testbench sys(*fn, dev, scfg);
         for (int i = 0; i < 32; ++i) {
             double v = i;
             sys.spm->backdoorWrite(
@@ -296,10 +296,10 @@ TEST(RuntimeEngine, ReadPortSweepChangesRuntime)
         core::DeviceConfig dev;
         dev.readPortsPerCycle = ports;
         dev.writePortsPerCycle = ports;
-        mem::ScratchpadConfig scfg = AccelSystem::defaultSpm();
+        mem::ScratchpadConfig scfg = Testbench::defaultSpm();
         scfg.readPorts = ports;
         scfg.writePorts = ports;
-        AccelSystem sys(*fn, dev, scfg);
+        Testbench sys(*fn, dev, scfg);
         return sys.run({RuntimeValue::fromPointer(spmBase),
                         RuntimeValue::fromPointer(spmBase + 0x1000),
                         RuntimeValue::fromPointer(spmBase + 0x2000)});
@@ -315,7 +315,7 @@ TEST(RuntimeEngine, StatsAreConsistent)
     Module mod("m");
     IRBuilder b(mod);
     Function *fn = salam::test::buildVecAdd(b, 32);
-    AccelSystem sys(*fn);
+    Testbench sys(*fn);
     sys.run({RuntimeValue::fromPointer(spmBase),
              RuntimeValue::fromPointer(spmBase + 0x1000),
              RuntimeValue::fromPointer(spmBase + 0x2000)});
@@ -347,7 +347,7 @@ TEST(RuntimeEngine, MemoryOrderingPreservesRaw)
     b.store(v, q);
     b.ret();
 
-    AccelSystem sys(*fn);
+    Testbench sys(*fn);
     sys.run({RuntimeValue::fromPointer(spmBase),
              RuntimeValue::fromPointer(spmBase + 0x100)});
     std::int64_t got = 0;
@@ -360,7 +360,7 @@ TEST(RuntimeEngine, SumSquaresReturnsThroughRet)
     Module mod("m");
     IRBuilder b(mod);
     Function *fn = salam::test::buildSumSquares(b, 10);
-    AccelSystem sys(*fn);
+    Testbench sys(*fn);
     std::uint64_t cycles = sys.run({});
     EXPECT_GT(cycles, 10u);
 }

@@ -20,15 +20,15 @@
 
 #include "drive/sweep_runner.hh"
 #include "inject/progress_sentinel.hh"
+#include "obs/json_reader.hh"
 #include "obs/result_store.hh"
 #include "sim/logging.hh"
 #include "sim/sim_context.hh"
 #include "sim/simulation.hh"
-#include "support/minijson.hh"
 
 using namespace salam;
 using namespace salam::drive;
-using salam::testsupport::parseJson;
+using salam::obs::parseJson;
 
 namespace
 {

@@ -5,18 +5,17 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/accel_fixture.hh"
 #include "drive/sweep_runner.hh"
+#include "drive/testbench.hh"
 #include "kernels/machsuite.hh"
-#include "mem/backdoor.hh"
+#include "obs/json_reader.hh"
 #include "obs/run_report.hh"
 #include "sim/sim_context.hh"
-#include "support/minijson.hh"
 
 using namespace salam;
 using namespace salam::drive;
-using salam::testsupport::JsonParser;
-using salam::testsupport::JsonValue;
+using salam::obs::JsonReader;
+using salam::obs::JsonValue;
 
 namespace
 {
@@ -42,17 +41,14 @@ simulatePoint(std::size_t idx)
     dev.readPortsPerCycle = ports;
     dev.writePortsPerCycle = ports;
 
-    mem::ScratchpadConfig spm_cfg = test::AccelSystem::defaultSpm();
+    mem::ScratchpadConfig spm_cfg = drive::Testbench::defaultSpm();
     spm_cfg.readPorts = ports;
     spm_cfg.writePorts = ports;
-    test::AccelSystem sys(*fn, dev, spm_cfg);
-
-    mem::ScratchpadBackdoor backdoor(*sys.spm);
-    kernel->seed(backdoor, test::spmBase);
-    std::uint64_t cycles = sys.run(kernel->args(test::spmBase));
-    std::string check = kernel->check(backdoor, test::spmBase);
+    drive::Testbench sys(*fn, dev, spm_cfg);
+    std::string check = sys.runKernel(*kernel);
     if (!check.empty())
         fatal("point %zu: %s", idx, check.c_str());
+    std::uint64_t cycles = sys.cu->cycleCount();
 
     obs::RunReport report;
     report.run = "gemm.p" + std::to_string(ports);
@@ -102,7 +98,7 @@ TEST(SweepRunner, SerialAndParallelPayloadsBitIdentical)
             << "payload diverged at point " << i;
 
         JsonValue doc =
-            JsonParser(parallel_results[i].payload).parse();
+            JsonReader(parallel_results[i].payload).parse();
         EXPECT_GT(doc.at("cycles").number, 0.0);
         EXPECT_EQ(doc.at("report").at("outcome").string, "ok");
     }
@@ -194,7 +190,7 @@ TEST(SweepRunner, AggregateJsonIsWellFormed)
     SweepRunner::writeAggregateJson(os, "unit\"test", results,
                                     runner.lastThreads(),
                                     runner.lastWallSeconds());
-    JsonValue doc = JsonParser(os.str()).parse();
+    JsonValue doc = JsonReader(os.str()).parse();
     EXPECT_EQ(doc.at("sweep").string, "unit\"test");
     EXPECT_EQ(doc.at("points").number, 3.0);
     EXPECT_EQ(doc.at("failed_points").number, 1.0);
@@ -269,7 +265,7 @@ TEST(SweepRunner, HostAggregateJsonAccountsForAllPoints)
                                     runner.lastThreads(),
                                     runner.lastWallSeconds(),
                                     &runner.hostSummary());
-    JsonValue doc = JsonParser(os.str()).parse();
+    JsonValue doc = JsonReader(os.str()).parse();
     EXPECT_EQ(doc.at("points").number,
               static_cast<double>(points));
     const JsonValue &host = doc.at("host");
@@ -316,7 +312,7 @@ TEST(SweepRunner, HostTelemetryFilesAreWellFormed)
     ASSERT_TRUE(json_in.good());
     std::stringstream json_ss;
     json_ss << json_in.rdbuf();
-    JsonValue doc = JsonParser(json_ss.str()).parse();
+    JsonValue doc = JsonReader(json_ss.str()).parse();
     EXPECT_EQ(doc.at("sweep").string, "ut-sweep");
     EXPECT_TRUE(doc.at("host").at("telemetry").isObject());
 
@@ -325,7 +321,7 @@ TEST(SweepRunner, HostTelemetryFilesAreWellFormed)
     ASSERT_TRUE(trace_in.good());
     std::stringstream trace_ss;
     trace_ss << trace_in.rdbuf();
-    JsonValue trace = JsonParser(trace_ss.str()).parse();
+    JsonValue trace = JsonReader(trace_ss.str()).parse();
     bool saw_worker_track = false;
     bool saw_host_slice = false;
     for (const JsonValue &ev : trace.at("traceEvents").array) {

@@ -6,12 +6,11 @@
 #include <random>
 #include <sstream>
 
-#include "core/accel_fixture.hh"
 #include "core/dyn_trace.hh"
 #include "core/static_cdfg.hh"
+#include "drive/testbench.hh"
 #include "drive/trace_replay.hh"
 #include "kernels/machsuite.hh"
-#include "mem/backdoor.hh"
 
 using namespace salam;
 
@@ -28,7 +27,7 @@ struct FullRun
 
 FullRun
 runFull(const kernels::Kernel &kernel, const core::DeviceConfig &dev,
-        mem::ScratchpadConfig spm_cfg, core::DynTrace *capture = nullptr)
+        mem::ScratchpadConfig spm_cfg)
 {
     // Fresh IR per run, like the benches: kernel IR construction is
     // deterministic, so static ids agree across builds.
@@ -36,38 +35,17 @@ runFull(const kernels::Kernel &kernel, const core::DeviceConfig &dev,
     ir::IRBuilder b(mod);
     ir::Function *fn = kernel.buildOptimized(b);
 
-    std::uint64_t bytes =
-        ((kernel.footprintBytes() + 0xFFF) & ~0xFFFull) + 0x1000;
-    spm_cfg.range = mem::AddrRange{test::spmBase,
-                                   test::spmBase +
-                                       std::max(bytes, test::spmSize)};
-    test::AccelSystem sys(*fn, dev, spm_cfg);
-    if (capture != nullptr) {
-        sys.cu->enableTraceCapture(capture);
-        capture->capturedBlockSequential = dev.blockSequentialImport;
-    }
-
-    mem::ScratchpadBackdoor backdoor(*sys.spm);
-    kernel.seed(backdoor, test::spmBase);
-    sys.run(kernel.args(test::spmBase));
-    EXPECT_EQ(kernel.check(backdoor, test::spmBase), "")
-        << kernel.name();
-
-    FullRun out;
-    out.stats = sys.cu->stats();
-    out.spmReads = sys.spm->readCount();
-    out.spmWrites = sys.spm->writeCount();
-    return out;
+    spm_cfg.range.end = std::max(
+        spm_cfg.range.end, drive::Testbench::kernelSpm(kernel, {}).range.end);
+    drive::Testbench tb(*fn, dev, spm_cfg);
+    EXPECT_EQ(tb.runKernel(kernel), "") << kernel.name();
+    return {tb.cu->stats(), tb.spm->readCount(), tb.spm->writeCount()};
 }
 
-/** A captured kernel: trace, replay IR and shared skeleton. */
-struct KernelCapture
+/** A captured kernel: trace, replay IR and validated prep. */
+struct KernelCapture : drive::TraceCache::Entry
 {
     std::unique_ptr<kernels::Kernel> kernel;
-    core::DynTrace trace;
-    std::unique_ptr<ir::Module> mod;
-    ir::Function *fn = nullptr;
-    drive::ReplayPrep prep;
 };
 
 /**
@@ -79,22 +57,12 @@ std::unique_ptr<KernelCapture>
 captureKernel(std::unique_ptr<kernels::Kernel> kernel,
               bool block_sequential)
 {
-    auto c = std::make_unique<KernelCapture>();
-    c->kernel = std::move(kernel);
-    core::DeviceConfig cap;
-    cap.blockSequentialImport = block_sequential;
-    cap.readPortsPerCycle = cap.writePortsPerCycle = 64;
-    cap.readQueueSize = cap.writeQueueSize = 64;
-    mem::ScratchpadConfig scfg = test::AccelSystem::defaultSpm();
-    scfg.readPorts = scfg.writePorts = 64;
-    runFull(*c->kernel, cap, scfg, &c->trace);
-
-    c->mod = std::make_unique<ir::Module>("replay_ir");
-    ir::IRBuilder b(*c->mod);
-    c->fn = c->kernel->buildOptimized(b);
-    core::StaticCdfg cdfg(*c->fn, cap);
-    c->prep = drive::buildReplayPrep(cdfg, c->trace);
-    return c;
+    core::DeviceConfig dev;
+    dev.blockSequentialImport = block_sequential;
+    drive::TraceCache::Entry entry =
+        drive::captureTraceEntry({}, *kernel, dev);
+    return std::make_unique<KernelCapture>(
+        KernelCapture{std::move(entry), std::move(kernel)});
 }
 
 drive::ReplayResult
@@ -102,15 +70,10 @@ replayCaptured(const KernelCapture &c, const core::DeviceConfig &dev,
                const mem::ScratchpadConfig &spm_cfg)
 {
     core::StaticCdfg cdfg(*c.fn, dev);
-    drive::ReplaySpmConfig spm;
-    spm.rangeStart = test::spmBase;
-    spm.latencyCycles = spm_cfg.latencyCycles;
-    spm.readPorts = spm_cfg.readPorts;
-    spm.writePorts = spm_cfg.writePorts;
-    spm.banks = spm_cfg.banks;
-    spm.wordBytes = spm_cfg.wordBytes;
-    drive::TraceReplayer replayer(cdfg, dev, c.trace, spm, &c.prep);
-    return replayer.run();
+    return drive::TraceReplayer(cdfg, dev, c.trace,
+                                drive::replaySpmConfig(spm_cfg),
+                                c.prep.get())
+        .run();
 }
 
 /** The GEMM capture shared by the fixed-grid tests below. */
@@ -199,7 +162,7 @@ toConfigs(const PointConfig &p, core::DeviceConfig &dev,
         dev.setFuLimit(hw::FuType::FpAddSubDouble, p.fpLimit);
         dev.setFuLimit(hw::FuType::FpMultiplierDouble, p.fpLimit);
     }
-    spm = test::AccelSystem::defaultSpm();
+    spm = drive::Testbench::defaultSpm();
     spm.readPorts = p.ports;
     spm.writePorts = p.ports;
     spm.latencyCycles = p.spmLatency;
@@ -212,7 +175,7 @@ TEST(TraceReplay, PrepBuildsCleanly)
 {
     const KernelCapture &c = captured();
     ASSERT_FALSE(c.trace.empty());
-    EXPECT_EQ(c.prep.error, "");
+    EXPECT_EQ(c.prep->error, "");
 }
 
 /**
@@ -301,7 +264,7 @@ TEST(TraceReplay, MismatchedTraceIsRejected)
     EXPECT_NE(prep.error, "");
 
     drive::ReplaySpmConfig spm;
-    spm.rangeStart = test::spmBase;
+    spm.rangeStart = drive::Testbench::spmBase;
     drive::TraceReplayer replayer(cdfg, dev, corrupt, spm);
     drive::ReplayResult res = replayer.run();
     EXPECT_FALSE(res.ok);
@@ -316,7 +279,7 @@ TEST(TraceReplay, EmptyTraceFailsGracefully)
     core::DeviceConfig dev;
     core::StaticCdfg cdfg(*c.fn, dev);
     drive::ReplaySpmConfig spm;
-    spm.rangeStart = test::spmBase;
+    spm.rangeStart = drive::Testbench::spmBase;
     drive::TraceReplayer replayer(cdfg, dev, empty, spm);
     drive::ReplayResult res = replayer.run();
     EXPECT_FALSE(res.ok);
@@ -354,7 +317,7 @@ TEST(TraceReplay, UnservableSpmConfigsAreRejected)
     for (const Bad &b : bad) {
         SCOPED_TRACE(b.field);
         drive::ReplaySpmConfig spm;
-        spm.rangeStart = test::spmBase;
+        spm.rangeStart = drive::Testbench::spmBase;
         b.spoil(spm);
         drive::TraceReplayer replayer(cdfg, dev, c.trace, spm);
         drive::ReplayResult res = replayer.run();
@@ -435,7 +398,7 @@ drawGatePoint(std::mt19937_64 &rng, bool block_sequential)
     p.dev.setFuLimit(hw::FuType::FpMultiplierDouble, fp_limit);
     p.dev.setFuLimit(hw::FuType::FpAddSub, fp_limit);
     p.dev.setFuLimit(hw::FuType::FpMultiplier, fp_limit);
-    p.spm = test::AccelSystem::defaultSpm();
+    p.spm = drive::Testbench::defaultSpm();
     p.spm.readPorts = pick({1, 2, 4, 8});
     p.spm.writePorts = pick({1, 2, 4, 8});
     p.spm.latencyCycles = pick({1, 2, 3});
@@ -474,7 +437,7 @@ TEST_P(ReplayIdentityGate, FastMatchesFullAtSeededConfigs)
     const std::string name = GetParam();
     for (bool block_sequential : {false, true}) {
         auto c = captureKernel(makeGateKernel(name), block_sequential);
-        ASSERT_EQ(c->prep.error, "") << name;
+        ASSERT_EQ(c->prep->error, "") << name;
         // Per-kernel seed (FNV-1a of the name): adding a kernel
         // leaves the others' points unchanged.
         std::uint64_t seed = 0xcbf29ce484222325ull;
@@ -518,11 +481,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TraceReplay, BranchHoldsItsSlotDuringImportMdKnn)
 {
     auto c = captureKernel(kernels::makeMdKnn(), false);
-    ASSERT_EQ(c->prep.error, "");
+    ASSERT_EQ(c->prep->error, "");
     core::DeviceConfig dev;
     dev.readQueueSize = dev.writeQueueSize = 64;
     dev.readPortsPerCycle = dev.writePortsPerCycle = 8;
-    mem::ScratchpadConfig spm = test::AccelSystem::defaultSpm();
+    mem::ScratchpadConfig spm = drive::Testbench::defaultSpm();
     spm.readPorts = spm.writePorts = 8;
     spm.latencyCycles = 3;
     spm.banks = 2;
@@ -536,11 +499,11 @@ TEST(TraceReplay, BranchHoldsItsSlotDuringImportMdKnn)
 TEST(TraceReplay, BranchHoldsItsSlotDuringImportStencil3d)
 {
     auto c = captureKernel(kernels::makeStencil3d(), false);
-    ASSERT_EQ(c->prep.error, "");
+    ASSERT_EQ(c->prep->error, "");
     core::DeviceConfig dev;
     dev.readQueueSize = dev.writeQueueSize = 16;
     dev.readPortsPerCycle = dev.writePortsPerCycle = 8;
-    mem::ScratchpadConfig spm = test::AccelSystem::defaultSpm();
+    mem::ScratchpadConfig spm = drive::Testbench::defaultSpm();
     spm.readPorts = spm.writePorts = 8;
     spm.latencyCycles = 3;
     spm.banks = 1;
@@ -582,7 +545,7 @@ TEST(TraceReplay, BranchTargetMustNameTheNextBlock)
 
     EXPECT_NE(drive::buildReplayPrep(cdfg, flipped).error, "");
     drive::ReplaySpmConfig spm;
-    spm.rangeStart = test::spmBase;
+    spm.rangeStart = drive::Testbench::spmBase;
     drive::ReplayResult res =
         drive::TraceReplayer(cdfg, dev, flipped, spm).run();
     EXPECT_FALSE(res.ok);
@@ -608,7 +571,7 @@ TEST(TraceReplay, TraceOfAnotherKernelVariantIsRejected)
     EXPECT_NE(prep.error.find("IR hash"), std::string::npos)
         << prep.error;
     drive::ReplaySpmConfig spm;
-    spm.rangeStart = test::spmBase;
+    spm.rangeStart = drive::Testbench::spmBase;
     drive::ReplayResult res =
         drive::TraceReplayer(cdfg, dev, c.trace, spm).run();
     EXPECT_FALSE(res.ok);
@@ -640,7 +603,7 @@ TEST(TraceReplay, InvalidDeviceConfigsAreRejected)
         SCOPED_TRACE(b.field);
         core::DeviceConfig dev;
         b.spoil(dev);
-        mem::ScratchpadConfig spm = test::AccelSystem::defaultSpm();
+        mem::ScratchpadConfig spm = drive::Testbench::defaultSpm();
         drive::ReplayResult res = replayCaptured(c, dev, spm);
         EXPECT_FALSE(res.ok);
         EXPECT_NE(res.error, "");

@@ -8,12 +8,12 @@
 
 #include "inject/fault_injector.hh"
 #include "inject/progress_sentinel.hh"
+#include "obs/json_reader.hh"
 #include "sim/simulation.hh"
-#include "support/minijson.hh"
 
 using namespace salam;
 using namespace salam::inject;
-using salam::testsupport::parseJson;
+using salam::obs::parseJson;
 
 namespace
 {

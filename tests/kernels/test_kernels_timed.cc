@@ -2,15 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "drive/testbench.hh"
 #include "kernels/machsuite.hh"
-#include "mem/backdoor.hh"
-#include "../core/accel_fixture.hh"
 
 using namespace salam;
 using namespace salam::ir;
 using namespace salam::kernels;
-using salam::test::AccelSystem;
-using salam::test::spmBase;
 
 namespace
 {
@@ -28,12 +25,9 @@ runTimed(const Kernel &kernel, std::string *failure,
     core::DeviceConfig dev;
     dev.readPortsPerCycle = 4;
     dev.writePortsPerCycle = 4;
-    AccelSystem sys(*fn, dev);
-    mem::ScratchpadBackdoor backdoor(*sys.spm);
-    kernel.seed(backdoor, spmBase);
-    std::uint64_t cycles = sys.run(kernel.args(spmBase));
-    *failure = kernel.check(backdoor, spmBase);
-    return cycles;
+    drive::Testbench tb(*fn, dev);
+    *failure = tb.runKernel(kernel);
+    return tb.cu->cycleCount();
 }
 
 } // namespace

@@ -9,12 +9,12 @@
 #include <sstream>
 
 #include "obs/critical_path.hh"
+#include "obs/json_reader.hh"
 #include "obs/profiler.hh"
-#include "support/minijson.hh"
 
 using namespace salam::obs;
-using salam::testsupport::JsonValue;
-using salam::testsupport::parseJson;
+using salam::obs::JsonValue;
+using salam::obs::parseJson;
 
 namespace
 {

@@ -11,13 +11,13 @@
 #include <thread>
 
 #include "obs/host_telemetry.hh"
+#include "obs/json_reader.hh"
 #include "sim/sim_context.hh"
-#include "support/minijson.hh"
 
 using namespace salam;
 using namespace salam::obs;
-using salam::testsupport::JsonValue;
-using salam::testsupport::parseJson;
+using salam::obs::JsonValue;
+using salam::obs::parseJson;
 
 namespace
 {

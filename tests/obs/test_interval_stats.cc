@@ -11,14 +11,14 @@
 #include <sstream>
 
 #include "obs/interval_stats.hh"
+#include "obs/json_reader.hh"
 #include "sim/event_queue.hh"
 #include "sim/statistics.hh"
-#include "support/minijson.hh"
 
 using namespace salam;
 using salam::obs::IntervalStats;
-using salam::testsupport::JsonValue;
-using salam::testsupport::parseJson;
+using salam::obs::JsonValue;
+using salam::obs::parseJson;
 
 namespace
 {

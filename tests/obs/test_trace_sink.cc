@@ -4,13 +4,13 @@
 
 #include <sstream>
 
+#include "obs/json_reader.hh"
 #include "obs/run_report.hh"
 #include "obs/trace_sink.hh"
-#include "support/minijson.hh"
 
 using namespace salam::obs;
-using salam::testsupport::JsonValue;
-using salam::testsupport::parseJson;
+using salam::obs::JsonValue;
+using salam::obs::parseJson;
 
 namespace
 {

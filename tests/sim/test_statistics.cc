@@ -4,11 +4,11 @@
 
 #include <sstream>
 
+#include "obs/json_reader.hh"
 #include "sim/statistics.hh"
-#include "support/minijson.hh"
 
 using namespace salam;
-using salam::testsupport::parseJson;
+using salam::obs::parseJson;
 
 TEST(Statistics, AddAndAccumulate)
 {

@@ -14,15 +14,15 @@
 
 #include "inject/fault_injector.hh"
 #include "kernels/machsuite.hh"
+#include "obs/json_reader.hh"
 #include "sys/system.hh"
 #include "../ir/test_helpers.hh"
-#include "support/minijson.hh"
 
 using namespace salam;
 using namespace salam::ir;
 using namespace salam::mem;
 using namespace salam::sys;
-using salam::testsupport::parseJson;
+using salam::obs::parseJson;
 
 namespace
 {
