@@ -205,18 +205,20 @@ recordRun(const ObsOptions &options, obs::RunReport report,
           std::vector<obs::StoreRecord> records)
 {
     report.commandLine = options.commandLine;
+    // Queue the store records first: when the report file cannot be
+    // written, the fatal() below (or a second one inside the
+    // termination hook) must not cost the store its record.
+    if (obs::ResultStore *store = resultStore(options)) {
+        store->appendRunReport(report, options.benchName);
+        for (obs::StoreRecord &rec : records) {
+            rec.bench = options.benchName;
+            store->append(std::move(rec));
+        }
+    }
     if (!options.reportOut.empty() &&
         !report.appendToFile(options.reportOut))
         fatal("could not append run report to '%s'",
               options.reportOut.c_str());
-    obs::ResultStore *store = resultStore(options);
-    if (store == nullptr)
-        return;
-    store->appendRunReport(report, options.benchName);
-    for (obs::StoreRecord &rec : records) {
-        rec.bench = options.benchName;
-        store->append(std::move(rec));
-    }
 }
 
 namespace
