@@ -179,7 +179,8 @@ void printInjectionLog(const inject::FaultInjector *injector);
  * (wrong results, watchdog, injected deadlock), flush the trace, the
  * stats and a run record carrying the fatal outcome, so a campaign
  * still gets machine-readable artifacts. The returned RAII handle
- * deregisters the hook when the normal path takes over.
+ * deregisters the hook when the normal path takes over; the hook
+ * refers to @p options and @p sim, which must outlive it.
  */
 ScopedTerminationHook installTerminationHook(const ObsOptions &options,
                                              Simulation &sim,
