@@ -14,14 +14,15 @@
  *     over the baseline) — the integration only gem5-SALAM models.
  */
 
-#include <algorithm>
 #include <vector>
 
+#include "cnn_pipeline.hh"
 #include "common.hh"
 #include "sys/system.hh"
 
 using namespace salam;
 using namespace salam::bench;
+using namespace salam::bench::cnn;
 using namespace salam::drive;
 using namespace salam::kernels;
 using namespace salam::sys;
@@ -30,167 +31,14 @@ using namespace salam::mem;
 namespace
 {
 
-constexpr unsigned imgW = 32, imgH = 32;
-constexpr unsigned convW = imgW - 2, convH = imgH - 2; // 30x30
-constexpr unsigned poolW = convW / 2, poolH = convH / 2; // 15x15
-constexpr std::uint64_t imageBytes = 4ull * imgW * imgH;
-constexpr std::uint64_t weightBytes = 4ull * 9;
-constexpr std::uint64_t convOutBytes = 4ull * convW * convH;
-constexpr std::uint64_t poolOutBytes = 4ull * poolW * poolH;
-
-std::vector<float>
-makeImage()
+/** fig16's modest cluster data mover: 16-byte bursts, 2 in flight. */
+core::DmaConfig
+clusterDma()
 {
-    Lcg rng(2020);
-    std::vector<float> image(imgW * imgH + 9);
-    for (auto &v : image)
-        v = static_cast<float>(rng.nextDouble()) - 0.5f;
-    return image;
-}
-
-/** Host-side golden: conv -> relu -> pool. */
-std::vector<float>
-golden(const std::vector<float> &image)
-{
-    const float *weights = image.data() + imgW * imgH;
-    std::vector<float> conv(convW * convH);
-    for (unsigned r = 0; r < convH; ++r) {
-        for (unsigned c = 0; c < convW; ++c) {
-            float acc = 0.0f;
-            for (unsigned k1 = 0; k1 < 3; ++k1)
-                for (unsigned k2 = 0; k2 < 3; ++k2)
-                    acc += weights[k1 * 3 + k2] *
-                        image[(r + k1) * imgW + c + k2];
-            conv[r * convW + c] = std::max(acc, 0.0f); // + relu
-        }
-    }
-    std::vector<float> pool(poolW * poolH);
-    for (unsigned r = 0; r < poolH; ++r) {
-        for (unsigned c = 0; c < poolW; ++c) {
-            pool[r * poolW + c] = std::max(
-                {conv[(2 * r) * convW + 2 * c],
-                 conv[(2 * r) * convW + 2 * c + 1],
-                 conv[(2 * r + 1) * convW + 2 * c],
-                 conv[(2 * r + 1) * convW + 2 * c + 1]});
-        }
-    }
-    return pool;
-}
-
-void
-checkOutput(SalamSystem &sys, std::uint64_t dram_out,
-            const std::vector<float> &expected, const char *tag)
-{
-    for (unsigned i = 0; i < expected.size(); ++i) {
-        float got = 0;
-        sys.dram().backdoorRead(dram_out + 4ull * i, &got, 4);
-        if (std::abs(got - expected[i]) > 1e-4f)
-            fatal("fig16 %s: wrong output at %u (%f vs %f)", tag,
-                  i, got, expected[i]);
-    }
-}
-
-ScratchpadConfig
-spmProto()
-{
-    ScratchpadConfig proto;
-    proto.readPorts = 4;
-    proto.writePorts = 4;
-    proto.numPorts = 2;
-    return proto;
-}
-
-/** Scenario (a): private SPMs, DMA transfers, host-sequenced. */
-Tick
-scenarioPrivate(const std::vector<float> &image,
-                const std::vector<float> &expected,
-                const InterconnectConfig &icfg)
-{
-    Simulation sim;
-    SalamSystem sys(sim);
-    auto &cluster = sys.addCluster("c0", periodFromMhz(100), 0,
-                                   icfg);
-
-    auto &conv_spm = cluster.addSpm("conv_spm", 16 * 1024,
-                                    spmProto());
-    auto &relu_spm = cluster.addSpm("relu_spm", 16 * 1024,
-                                    spmProto());
-    auto &pool_spm = cluster.addSpm("pool_spm", 16 * 1024,
-                                    spmProto());
-    for (Scratchpad *spm : {&conv_spm, &relu_spm, &pool_spm}) {
-        cluster.localXbar().connectDevice(spm->port(1),
-                                          spm->config().range);
-    }
-
-    core::DmaConfig dma_proto;
-    dma_proto.burstBytes = 16; // modest cluster data mover
-    dma_proto.maxOutstanding = 2;
-    auto &dma = cluster.addDma("dma", dma_proto);
-    unsigned dma_irq = sys.allocateIrq();
-    dma.setIrqCallback(sys.gic().lineCallback(dma_irq));
-
-    ir::Module mod("m");
-    ir::IRBuilder b(mod);
-    ir::Function *conv_fn = makeConv2d(imgW, imgH)->buildOptimized(b);
-    ir::Function *relu_fn = makeRelu(convW * convH)->buildOptimized(b);
-    ir::Function *pool_fn = makeMaxPool(convW, convH)->buildOptimized(b);
-
-    auto &conv = cluster.addAccelerator(
-        "conv", *conv_fn, {},
-        {{"spm", {conv_spm.config().range}, false}});
-    bindPorts(conv.comm->dataPort(0), conv_spm.port(0));
-    auto &relu = cluster.addAccelerator(
-        "relu", *relu_fn, {},
-        {{"spm", {relu_spm.config().range}, false}});
-    bindPorts(relu.comm->dataPort(0), relu_spm.port(0));
-    auto &pool = cluster.addAccelerator(
-        "pool", *pool_fn, {},
-        {{"spm", {pool_spm.config().range}, false}});
-    bindPorts(pool.comm->dataPort(0), pool_spm.port(0));
-
-    // DRAM staging.
-    std::uint64_t dram_in = SystemAddressMap::dramBase + 0x10000;
-    std::uint64_t dram_out = SystemAddressMap::dramBase + 0x40000;
-    sys.dram().backdoorWrite(dram_in, image.data(),
-                             image.size() * 4);
-
-    std::uint64_t conv_in = conv_spm.config().range.start;
-    std::uint64_t conv_wts = conv_in + imageBytes;
-    std::uint64_t conv_out = conv_wts + 0x100;
-    std::uint64_t relu_in = relu_spm.config().range.start;
-    std::uint64_t relu_out = relu_in + convOutBytes;
-    std::uint64_t pool_in = pool_spm.config().range.start;
-    std::uint64_t pool_rowbuf = pool_in + convOutBytes;
-    std::uint64_t pool_out = pool_rowbuf + 0x200;
-
-    DriverCpu &host = sys.host();
-    std::uint64_t dma_mmr = dma.config().mmrRange.start;
-    host.push(HostOp::mark("begin"));
-    driver::pushDmaTransfer(host, dma_mmr, dram_in, conv_in,
-                            imageBytes + weightBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    driver::pushAcceleratorStart(host, conv,
-                                 {conv_in, conv_wts, conv_out});
-    host.push(HostOp::waitIrq(conv.irqId));
-    driver::pushDmaTransfer(host, dma_mmr, conv_out, relu_in,
-                            convOutBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    driver::pushAcceleratorStart(host, relu, {relu_in, relu_out});
-    host.push(HostOp::waitIrq(relu.irqId));
-    driver::pushDmaTransfer(host, dma_mmr, relu_out, pool_in,
-                            convOutBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    driver::pushAcceleratorStart(
-        host, pool, {pool_in, pool_rowbuf, pool_out});
-    host.push(HostOp::waitIrq(pool.irqId));
-    driver::pushDmaTransfer(host, dma_mmr, pool_out, dram_out,
-                            poolOutBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    host.push(HostOp::mark("end"));
-    sys.run();
-
-    checkOutput(sys, dram_out, expected, "private");
-    return host.markAt("end") - host.markAt("begin");
+    core::DmaConfig dma;
+    dma.burstBytes = 16;
+    dma.maxOutstanding = 2;
+    return dma;
 }
 
 /** Scenario (b): shared SPM, host-sequenced (central control). */
@@ -216,10 +64,7 @@ scenarioShared(const std::vector<float> &image,
     cluster.localXbar().connectDevice(shared.port(3),
                                       shared.config().range);
 
-    core::DmaConfig dma_proto;
-    dma_proto.burstBytes = 16; // modest cluster data mover
-    dma_proto.maxOutstanding = 2;
-    auto &dma = cluster.addDma("dma", dma_proto);
+    auto &dma = cluster.addDma("dma", clusterDma());
     unsigned dma_irq = sys.allocateIrq();
     dma.setIrqCallback(sys.gic().lineCallback(dma_irq));
 
@@ -301,10 +146,7 @@ scenarioStream(const std::vector<float> &image,
     auto &fifo1 = cluster.addStreamBuffer("fifo1", 64);
     auto &fifo2 = cluster.addStreamBuffer("fifo2", 64);
 
-    core::DmaConfig dma_proto;
-    dma_proto.burstBytes = 16; // modest cluster data mover
-    dma_proto.maxOutstanding = 2;
-    auto &dma = cluster.addDma("dma", dma_proto);
+    auto &dma = cluster.addDma("dma", clusterDma());
     unsigned dma_irq = sys.allocateIrq();
     dma.setIrqCallback(sys.gic().lineCallback(dma_irq));
 
@@ -398,7 +240,8 @@ main(int argc, char **argv)
     header("Fig. 16: producer-consumer accelerator scenarios "
            "(CNN layer: conv3x3 -> ReLU -> maxpool2x2)");
 
-    Tick t_private = scenarioPrivate(image, expected, icfg);
+    Tick t_private =
+        scenarioPrivate(image, expected, icfg, clusterDma());
     Tick t_shared = scenarioShared(image, expected, icfg);
     Tick t_stream = scenarioStream(image, expected, icfg);
 

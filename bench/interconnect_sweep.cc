@@ -24,138 +24,19 @@
  *    widens and the credit pool deepens.
  */
 
-#include <algorithm>
 #include <sstream>
 #include <vector>
 
+#include "cnn_pipeline.hh"
 #include "common.hh"
 #include "drive/sweep_runner.hh"
 #include "drive/sweep_spec.hh"
-#include "sys/system.hh"
 
 using namespace salam;
 using namespace salam::bench;
 using namespace salam::drive;
 using namespace salam::kernels;
-using namespace salam::sys;
 using namespace salam::mem;
-
-namespace
-{
-
-constexpr unsigned imgW = 32, imgH = 32;
-constexpr unsigned convW = imgW - 2, convH = imgH - 2;
-constexpr unsigned poolW = convW / 2, poolH = convH / 2;
-constexpr std::uint64_t imageBytes = 4ull * imgW * imgH;
-constexpr std::uint64_t weightBytes = 4ull * 9;
-constexpr std::uint64_t convOutBytes = 4ull * convW * convH;
-constexpr std::uint64_t poolOutBytes = 4ull * poolW * poolH;
-
-/**
- * End-to-end ticks of fig16's private-SPM pipeline (conv -> relu ->
- * pool, DMA-staged, host-sequenced) on a cluster whose local fabric
- * is @p icfg.
- */
-Tick
-clusterEndToEnd(const InterconnectConfig &icfg)
-{
-    Lcg rng(2020);
-    std::vector<float> image(imgW * imgH + 9);
-    for (auto &v : image)
-        v = static_cast<float>(rng.nextDouble()) - 0.5f;
-
-    Simulation sim;
-    SalamSystem sys(sim);
-    auto &cluster = sys.addCluster("c0", periodFromMhz(100), 0,
-                                   icfg);
-
-    ScratchpadConfig proto;
-    proto.readPorts = 4;
-    proto.writePorts = 4;
-    proto.numPorts = 2;
-    auto &conv_spm = cluster.addSpm("conv_spm", 16 * 1024, proto);
-    auto &relu_spm = cluster.addSpm("relu_spm", 16 * 1024, proto);
-    auto &pool_spm = cluster.addSpm("pool_spm", 16 * 1024, proto);
-    for (Scratchpad *spm : {&conv_spm, &relu_spm, &pool_spm}) {
-        cluster.localXbar().connectDevice(spm->port(1),
-                                          spm->config().range);
-    }
-
-    // A more aggressive data mover than fig16's (64-byte bursts,
-    // deep outstanding window) so the cluster fabric — not the DMA's
-    // own request pacing — is the bottleneck the curve measures.
-    // fig16's 16B/2-deep mover is latency-bound and would flatten
-    // the bus-width axis.
-    core::DmaConfig dma_proto;
-    dma_proto.burstBytes = 64;
-    dma_proto.maxOutstanding = 8;
-    auto &dma = cluster.addDma("dma", dma_proto);
-    unsigned dma_irq = sys.allocateIrq();
-    dma.setIrqCallback(sys.gic().lineCallback(dma_irq));
-
-    ir::Module mod("m");
-    ir::IRBuilder b(mod);
-    ir::Function *conv_fn = makeConv2d(imgW, imgH)->buildOptimized(b);
-    ir::Function *relu_fn = makeRelu(convW * convH)->buildOptimized(b);
-    ir::Function *pool_fn = makeMaxPool(convW, convH)->buildOptimized(b);
-
-    auto &conv = cluster.addAccelerator(
-        "conv", *conv_fn, {},
-        {{"spm", {conv_spm.config().range}, false}});
-    bindPorts(conv.comm->dataPort(0), conv_spm.port(0));
-    auto &relu = cluster.addAccelerator(
-        "relu", *relu_fn, {},
-        {{"spm", {relu_spm.config().range}, false}});
-    bindPorts(relu.comm->dataPort(0), relu_spm.port(0));
-    auto &pool = cluster.addAccelerator(
-        "pool", *pool_fn, {},
-        {{"spm", {pool_spm.config().range}, false}});
-    bindPorts(pool.comm->dataPort(0), pool_spm.port(0));
-
-    std::uint64_t dram_in = SystemAddressMap::dramBase + 0x10000;
-    std::uint64_t dram_out = SystemAddressMap::dramBase + 0x40000;
-    sys.dram().backdoorWrite(dram_in, image.data(),
-                             image.size() * 4);
-
-    std::uint64_t conv_in = conv_spm.config().range.start;
-    std::uint64_t conv_wts = conv_in + imageBytes;
-    std::uint64_t conv_out = conv_wts + 0x100;
-    std::uint64_t relu_in = relu_spm.config().range.start;
-    std::uint64_t relu_out = relu_in + convOutBytes;
-    std::uint64_t pool_in = pool_spm.config().range.start;
-    std::uint64_t pool_rowbuf = pool_in + convOutBytes;
-    std::uint64_t pool_out = pool_rowbuf + 0x200;
-
-    DriverCpu &host = sys.host();
-    std::uint64_t dma_mmr = dma.config().mmrRange.start;
-    host.push(HostOp::mark("begin"));
-    driver::pushDmaTransfer(host, dma_mmr, dram_in, conv_in,
-                            imageBytes + weightBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    driver::pushAcceleratorStart(host, conv,
-                                 {conv_in, conv_wts, conv_out});
-    host.push(HostOp::waitIrq(conv.irqId));
-    driver::pushDmaTransfer(host, dma_mmr, conv_out, relu_in,
-                            convOutBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    driver::pushAcceleratorStart(host, relu, {relu_in, relu_out});
-    host.push(HostOp::waitIrq(relu.irqId));
-    driver::pushDmaTransfer(host, dma_mmr, relu_out, pool_in,
-                            convOutBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    driver::pushAcceleratorStart(
-        host, pool, {pool_in, pool_rowbuf, pool_out});
-    host.push(HostOp::waitIrq(pool.irqId));
-    driver::pushDmaTransfer(host, dma_mmr, pool_out, dram_out,
-                            poolOutBytes);
-    host.push(HostOp::waitIrq(dma_irq));
-    host.push(HostOp::mark("end"));
-    sys.run();
-
-    return host.markAt("end") - host.markAt("begin");
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -308,7 +189,18 @@ main(int argc, char **argv)
     if (cluster_curve) {
         std::printf("\nfig16 cluster contention curve "
                     "(conv->relu->pool, private SPM + DMA):\n");
-        Tick xbar_t = clusterEndToEnd(InterconnectConfig{});
+        // A more aggressive data mover than fig16's (64-byte bursts,
+        // deep outstanding window) so the cluster fabric — not the
+        // DMA's own request pacing — is the bottleneck the curve
+        // measures. fig16's 16B/2-deep mover is latency-bound and
+        // would flatten the bus-width axis.
+        core::DmaConfig dma;
+        dma.burstBytes = 64;
+        dma.maxOutstanding = 8;
+        const auto image = cnn::makeImage();
+        const auto expected = cnn::golden(image);
+        Tick xbar_t = cnn::scenarioPrivate(image, expected,
+                                           InterconnectConfig{}, dma);
         std::printf("%-8s %-10s %-10s %14s %9s\n", "fabric",
                     "bus_width", "credits", "end-to-end(us)",
                     "vs_xbar");
@@ -322,7 +214,7 @@ main(int argc, char **argv)
                 ic.busWidthBytes = width;
                 ic.maxOutstandingPerRequester =
                     credits == 0 ? unlimitedCredits : credits;
-                Tick t = clusterEndToEnd(ic);
+                Tick t = cnn::scenarioPrivate(image, expected, ic, dma);
                 char credit_buf[16];
                 if (credits == 0)
                     std::snprintf(credit_buf, sizeof(credit_buf),

@@ -34,8 +34,7 @@ aladdinRun(unsigned dataset)
     ir::FlatMemory mem;
     kernel->seed(mem, 0x10000);
     AladdinSimulator sim;
-    return sim.run(*fn, kernel->args(0x10000), mem,
-                   "/tmp/salam_table1_trace.txt");
+    return sim.run(*fn, kernel->args(0x10000), mem);
 }
 
 unsigned

@@ -36,8 +36,7 @@ run(const AladdinConfig &cfg)
     ir::FlatMemory mem;
     kernel->seed(mem, 0x10000);
     AladdinSimulator sim(cfg);
-    return sim.run(*fn, kernel->args(0x10000), mem,
-                   "/tmp/salam_table2_trace.txt");
+    return sim.run(*fn, kernel->args(0x10000), mem);
 }
 
 } // namespace

@@ -199,9 +199,8 @@ main(int argc, char **argv)
             ir::FlatMemory mem;
             kernel->seed(mem, 0x10000);
             AladdinSimulator baseline;
-            AladdinResult base = baseline.run(
-                *fn, kernel->args(0x10000), mem,
-                "/tmp/salam_table4_trace.txt");
+            AladdinResult base =
+                baseline.run(*fn, kernel->args(0x10000), mem);
 
             // gem5-SALAM: compilation + engine simulation.
             BenchRun salam_run = runSalam(options, *kernel);

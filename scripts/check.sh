@@ -64,12 +64,15 @@ camp_dir="${smoke_dir}/campaign"
 mkdir -p "${camp_dir}"
 
 run_campaign() {
-    # run_campaign <tag> <expected-exit> <spec-or-empty>
-    local tag="$1" want_exit="$2" spec="$3"
+    # run_campaign <tag> <expected-exit> [spec...]
+    local tag="$1" want_exit="$2" spec
+    shift 2
     local args=(--watchdog 2000000
                 --dump-out "${camp_dir}/${tag}.dump.json"
                 --report-out "${camp_dir}/${tag}.jsonl")
-    [[ -n "${spec}" ]] && args+=(--inject "${spec}")
+    for spec in "$@"; do
+        args+=(--inject "${spec}")
+    done
     local got=0
     "${camp}" "${args[@]}" >"${camp_dir}/${tag}.out" 2>&1 || got=$?
     if [[ "${got}" -ne "${want_exit}" ]]; then
@@ -81,7 +84,7 @@ run_campaign() {
 
 # One scenario per fault kind; every run must terminate gracefully
 # (exit 0 or a clean fatal with artifacts — never a hang or abort).
-run_campaign clean          0 ""
+run_campaign clean          0
 run_campaign bit_flip       1 "bit_flip@spm:nth=100:bit=30"
 run_campaign drop_response  1 "drop_response@spm:nth=300"
 run_campaign drop_irq       1 "drop_irq@relu.comm:nth=1"
@@ -89,6 +92,8 @@ run_campaign spurious_irq   1 "spurious_irq@host:nth=2"
 run_campaign retry_storm    0 "retry_storm@spm:nth=10:count=20"
 run_campaign delay_response 0 "delay_response@spm:nth=50:count=5:delay=100000"
 run_campaign dma_stall      0 "dma_stall@dma:nth=1:delay=500000"
+run_campaign fabric_retry_storm 0 "retry_storm@c0.xbar:nth=5:count=10" \
+    "retry_storm@global_xbar:nth=5:count=10"
 
 python3 - "${camp_dir}" <<'PYEOF'
 import json, sys
@@ -103,6 +108,7 @@ expected = {
     "clean": "ok", "bit_flip": "fault", "drop_response": "deadlock",
     "drop_irq": "deadlock", "spurious_irq": "fault",
     "retry_storm": "ok", "delay_response": "ok", "dma_stall": "ok",
+    "fabric_retry_storm": "ok",
 }
 for tag, want in expected.items():
     got = outcome(tag)

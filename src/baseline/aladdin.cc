@@ -1,7 +1,11 @@
 #include "aladdin.hh"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -202,6 +206,23 @@ AladdinSimulator::run(const ir::Function &fn,
         std::chrono::duration<double>(t1 - t0).count();
     result.simulateSeconds =
         std::chrono::duration<double>(t2 - t1).count();
+    return result;
+}
+
+AladdinResult
+AladdinSimulator::run(const ir::Function &fn,
+                      const std::vector<ir::RuntimeValue> &args,
+                      ir::MemoryAccessor &memory) const
+{
+    std::string path = (std::filesystem::temp_directory_path() /
+                        "salam_aladdin_trace_XXXXXX")
+                           .string();
+    int fd = ::mkstemp(path.data());
+    if (fd < 0)
+        fatal("cannot create trace file '%s'", path.c_str());
+    ::close(fd);
+    AladdinResult result = run(fn, args, memory, path);
+    std::remove(path.c_str());
     return result;
 }
 

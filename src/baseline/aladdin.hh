@@ -97,6 +97,15 @@ class AladdinSimulator
                       ir::MemoryAccessor &memory,
                       const std::string &trace_path) const;
 
+    /**
+     * Run the full Aladdin flow with a trace file of its own in the
+     * system temp directory, removed once the trace is parsed, so
+     * concurrent runs never share one.
+     */
+    AladdinResult run(const ir::Function &fn,
+                      const std::vector<ir::RuntimeValue> &args,
+                      ir::MemoryAccessor &memory) const;
+
     /** Schedule an already-parsed trace (steps 2-3 only). */
     AladdinResult
     schedule(const std::vector<TraceEntry> &trace) const;

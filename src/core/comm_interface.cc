@@ -11,11 +11,10 @@ CommInterface::CommInterface(Simulation &sim, std::string name,
                              Tick clock_period,
                              const CommInterfaceConfig &config)
     : ClockedObject(sim, std::move(name), clock_period), cfg(config),
-      pioPort(*this),
-      regs(config.mmrRange.size() / 8, 0),
-      mmrEvent([this] { sendMmrResponses(); },
-               this->name() + ".mmr", Event::memoryResponsePri,
-               obs::HostPhase::MemoryModel)
+      pioPort(*this, config.mmrRange, config.mmrLatencyCycles,
+              [this](unsigned i) { return readReg(i); },
+              [this](unsigned i, std::uint64_t v) { writeReg(i, v); }),
+      regs(config.mmrRange.size() / 8, 0)
 {
     if (cfg.mmrRange.size() == 0 || cfg.mmrRange.size() % 8 != 0)
         fatal("%s: MMR range must be a multiple of 8 bytes",
@@ -32,10 +31,10 @@ CommInterface::init()
     StatRegistry &reg = simulation().stats();
     const std::string n = name();
     reg.addFormula(n + ".comm.mmr_reads", "MMR reads", [this] {
-        return static_cast<double>(mmrReadCount);
+        return static_cast<double>(mmrReads());
     });
     reg.addFormula(n + ".comm.mmr_writes", "MMR writes", [this] {
-        return static_cast<double>(mmrWriteCount);
+        return static_cast<double>(mmrWrites());
     });
     reg.addFormula(n + ".comm.data_requests",
                    "data requests issued for the engine", [this] {
@@ -175,51 +174,6 @@ CommInterface::signalDone()
     }
 }
 
-bool
-CommInterface::handleMmrAccess(PacketPtr pkt)
-{
-    // A mis-programmed driver is a user error, not a simulator bug:
-    // answer undecodable accesses with an error response instead of
-    // tearing the run down on an assert.
-    if (!cfg.mmrRange.contains(pkt->addr(), pkt->size()) ||
-        pkt->size() != 8 ||
-        (pkt->addr() - cfg.mmrRange.start) % 8 != 0) {
-        warn("%s: undecodable MMR %s addr=0x%llx size=%u "
-             "(window [0x%llx, 0x%llx), 8-byte aligned)",
-             name().c_str(), pkt->isRead() ? "read" : "write",
-             static_cast<unsigned long long>(pkt->addr()),
-             pkt->size(),
-             static_cast<unsigned long long>(cfg.mmrRange.start),
-             static_cast<unsigned long long>(cfg.mmrRange.end));
-        ++mmrDecodeErrors;
-        pkt->makeErrorResponse();
-        mmrResponses.push_back(PendingMmr{
-            pkt, clockEdge(Cycles(cfg.mmrLatencyCycles))});
-        if (!mmrEvent.scheduled())
-            schedule(mmrEvent, mmrResponses.front().readyAt);
-        return true;
-    }
-    unsigned index = static_cast<unsigned>(
-        (pkt->addr() - cfg.mmrRange.start) / 8);
-
-    if (pkt->cmd() == MemCmd::ReadReq) {
-        std::uint64_t value = readReg(index);
-        pkt->setData(&value, 8);
-        ++mmrReadCount;
-    } else {
-        std::uint64_t value = 0;
-        pkt->copyData(&value, 8);
-        writeReg(index, value);
-        ++mmrWriteCount;
-    }
-    pkt->makeResponse();
-    mmrResponses.push_back(PendingMmr{
-        pkt, clockEdge(Cycles(cfg.mmrLatencyCycles))});
-    if (!mmrEvent.scheduled())
-        schedule(mmrEvent, mmrResponses.front().readyAt);
-    return true;
-}
-
 void
 CommInterface::dumpDiagnostics(obs::JsonBuilder &json) const
 {
@@ -227,8 +181,8 @@ CommInterface::dumpDiagnostics(obs::JsonBuilder &json) const
     json.field("blocked_data_requests",
                static_cast<std::uint64_t>(blockedRequests.size()));
     json.field("pending_mmr_responses",
-               static_cast<std::uint64_t>(mmrResponses.size()));
-    json.field("mmr_decode_errors", mmrDecodeErrors);
+               static_cast<std::uint64_t>(pioPort.pendingResponses()));
+    json.field("mmr_decode_errors", mmrDecodeErrorCount());
     json.beginArray("regs");
     for (std::uint64_t reg : regs)
         json.value(reg);
@@ -256,19 +210,65 @@ CommInterface::stuckReason() const
     return {};
 }
 
-void
-CommInterface::sendMmrResponses()
+MmrPort::MmrPort(ClockedObject &owner, const AddrRange &window,
+                 unsigned latency_cycles, ReadReg read, WriteReg write)
+    : ResponsePort(owner.name() + ".pio"), owner(owner), window(window),
+      latencyCycles(latency_cycles), readReg(std::move(read)),
+      writeReg(std::move(write)),
+      event([this] { sendResponses(); }, owner.name() + ".mmr",
+            Event::memoryResponsePri, obs::HostPhase::MemoryModel)
 {
-    while (!mmrResponses.empty()) {
-        PendingMmr &front = mmrResponses.front();
-        if (front.readyAt > curTick()) {
-            if (!mmrEvent.scheduled())
-                schedule(mmrEvent, front.readyAt);
+}
+
+bool
+MmrPort::recvTimingReq(PacketPtr pkt)
+{
+    if (!window.contains(pkt->addr(), pkt->size()) ||
+        pkt->size() != 8 || (pkt->addr() - window.start) % 8 != 0) {
+        warn("%s: undecodable MMR %s addr=0x%llx size=%u "
+             "(window [0x%llx, 0x%llx), 8-byte aligned)",
+             owner.name().c_str(), pkt->isRead() ? "read" : "write",
+             static_cast<unsigned long long>(pkt->addr()),
+             pkt->size(),
+             static_cast<unsigned long long>(window.start),
+             static_cast<unsigned long long>(window.end));
+        ++decodeErrorCount;
+        pkt->makeErrorResponse();
+    } else {
+        auto index =
+            static_cast<unsigned>((pkt->addr() - window.start) / 8);
+        if (pkt->cmd() == MemCmd::ReadReq) {
+            std::uint64_t value = readReg(index);
+            pkt->setData(&value, 8);
+            ++readCount;
+        } else {
+            std::uint64_t value = 0;
+            pkt->copyData(&value, 8);
+            writeReg(index, value);
+            ++writeCount;
+        }
+        pkt->makeResponse();
+    }
+    responses.push_back(
+        Pending{pkt, owner.clockEdge(Cycles(latencyCycles))});
+    if (!event.scheduled())
+        owner.eventQueue().schedule(&event, responses.front().readyAt);
+    return true;
+}
+
+void
+MmrPort::sendResponses()
+{
+    while (!responses.empty()) {
+        Pending &front = responses.front();
+        if (front.readyAt > owner.curTick()) {
+            if (!event.scheduled())
+                owner.eventQueue().schedule(&event, front.readyAt);
             return;
         }
-        if (!pioPort.sendTimingResp(front.pkt))
+        if (!sendTimingResp(front.pkt))
             return;
-        mmrResponses.pop_front();
+        responses.pop_front();
     }
 }
 

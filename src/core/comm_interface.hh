@@ -57,6 +57,62 @@ constexpr std::uint64_t irqEnable = 1u << 2;
 constexpr std::uint64_t running = 1u << 3;
 } // namespace ctrl_bits
 
+/**
+ * The MMR endpoint of a memory-mapped device (CommInterface, Dma).
+ * Host accesses are decoded by one rule: in the window, 8 bytes wide
+ * and 8-byte aligned. A decoded access goes to the device's register
+ * file. An undecodable one is a driver bug, not a simulator bug: it
+ * gets an error response (and is counted) instead of an assert.
+ * Every response returns after a fixed latency in the owner's clock.
+ */
+class MmrPort : public mem::ResponsePort
+{
+  public:
+    using ReadReg = std::function<std::uint64_t(unsigned index)>;
+    using WriteReg =
+        std::function<void(unsigned index, std::uint64_t value)>;
+
+    MmrPort(ClockedObject &owner, const mem::AddrRange &window,
+            unsigned latency_cycles, ReadReg read, WriteReg write);
+
+    /** Its response event holds its address. */
+    MmrPort(const MmrPort &) = delete;
+    MmrPort &operator=(const MmrPort &) = delete;
+
+    bool recvTimingReq(mem::PacketPtr pkt) override;
+
+    void recvRespRetry() override { sendResponses(); }
+
+    std::uint64_t reads() const { return readCount; }
+
+    std::uint64_t writes() const { return writeCount; }
+
+    /** Accesses answered with an error response. */
+    std::uint64_t decodeErrors() const { return decodeErrorCount; }
+
+    std::size_t pendingResponses() const { return responses.size(); }
+
+  private:
+    struct Pending
+    {
+        mem::PacketPtr pkt;
+        Tick readyAt;
+    };
+
+    void sendResponses();
+
+    ClockedObject &owner;
+    const mem::AddrRange window;
+    const unsigned latencyCycles;
+    ReadReg readReg;
+    WriteReg writeReg;
+    std::deque<Pending> responses;
+    EventFunctionWrapper event;
+    std::uint64_t readCount = 0;
+    std::uint64_t writeCount = 0;
+    std::uint64_t decodeErrorCount = 0;
+};
+
 /** The communications interface device. */
 class CommInterface : public ClockedObject
 {
@@ -124,38 +180,19 @@ class CommInterface : public ClockedObject
 
     bool done() const { return (regs[0] & ctrl_bits::done) != 0; }
 
-    std::uint64_t mmrReads() const { return mmrReadCount; }
+    std::uint64_t mmrReads() const { return pioPort.reads(); }
 
-    std::uint64_t mmrWrites() const { return mmrWriteCount; }
+    std::uint64_t mmrWrites() const { return pioPort.writes(); }
 
     /** MMIO accesses answered with an error response. */
     std::uint64_t mmrDecodeErrorCount() const
-    { return mmrDecodeErrors; }
+    { return pioPort.decodeErrors(); }
 
     void dumpDiagnostics(obs::JsonBuilder &json) const override;
 
     std::string stuckReason() const override;
 
   private:
-    class PioPort : public mem::ResponsePort
-    {
-      public:
-        explicit PioPort(CommInterface &owner)
-            : mem::ResponsePort(owner.name() + ".pio"), owner(owner)
-        {}
-
-        bool
-        recvTimingReq(mem::PacketPtr pkt) override
-        {
-            return owner.handleMmrAccess(pkt);
-        }
-
-        void recvRespRetry() override { owner.sendMmrResponses(); }
-
-      private:
-        CommInterface &owner;
-    };
-
     class DataPort : public mem::RequestPort
     {
       public:
@@ -176,16 +213,6 @@ class CommInterface : public ClockedObject
         CommInterface &owner;
     };
 
-    struct PendingMmr
-    {
-        mem::PacketPtr pkt;
-        Tick readyAt;
-    };
-
-    bool handleMmrAccess(mem::PacketPtr pkt);
-
-    void sendMmrResponses();
-
     bool handleDataResponse(mem::PacketPtr pkt);
 
     void retryBlockedRequests();
@@ -196,22 +223,17 @@ class CommInterface : public ClockedObject
     int portFor(std::uint64_t addr, unsigned size) const;
 
     CommInterfaceConfig cfg;
-    PioPort pioPort;
+    MmrPort pioPort;
     std::vector<std::unique_ptr<DataPort>> dataPorts;
     std::vector<std::uint64_t> regs;
-    std::deque<PendingMmr> mmrResponses;
     std::deque<std::pair<mem::PacketPtr, unsigned>> blockedRequests;
-    EventFunctionWrapper mmrEvent;
 
     std::function<void()> onStart;
     std::function<void()> irq;
     ResponseHandler onResponse;
 
-    std::uint64_t mmrReadCount = 0;
-    std::uint64_t mmrWriteCount = 0;
     std::uint64_t dataRequestsIssued = 0;
     std::uint64_t dataRequestsBlocked = 0;
-    std::uint64_t mmrDecodeErrors = 0;
 };
 
 } // namespace salam::core

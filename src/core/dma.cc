@@ -12,10 +12,10 @@ using namespace salam::mem;
 Dma::Dma(Simulation &sim, std::string name, Tick clock_period,
          const DmaConfig &config)
     : ClockedObject(sim, std::move(name), clock_period), cfg(config),
-      pioPort(*this), dmaPort(*this),
-      mmrEvent([this] { sendMmrResponses(); },
-               this->name() + ".mmr", Event::memoryResponsePri,
-               obs::HostPhase::MemoryModel),
+      pioPort(*this, config.mmrRange, 1,
+              [this](unsigned i) { return readReg(i); },
+              [this](unsigned i, std::uint64_t v) { writeReg(i, v); }),
+      dmaPort(*this),
       pumpEvent([this] { pump(); }, this->name() + ".pump",
                 Event::defaultPri, obs::HostPhase::MemoryModel)
 {
@@ -237,44 +237,6 @@ Dma::stuckReason() const
                " bytes unwritten)";
     }
     return {};
-}
-
-bool
-Dma::handleMmrAccess(PacketPtr pkt)
-{
-    SALAM_ASSERT(cfg.mmrRange.contains(pkt->addr(), pkt->size()));
-    SALAM_ASSERT(pkt->size() == 8);
-    unsigned index = static_cast<unsigned>(
-        (pkt->addr() - cfg.mmrRange.start) / 8);
-    if (pkt->cmd() == MemCmd::ReadReq) {
-        std::uint64_t value = readReg(index);
-        pkt->setData(&value, 8);
-    } else {
-        std::uint64_t value = 0;
-        pkt->copyData(&value, 8);
-        writeReg(index, value);
-    }
-    pkt->makeResponse();
-    mmrResponses.push_back(PendingMmr{pkt, clockEdge(Cycles(1))});
-    if (!mmrEvent.scheduled())
-        schedule(mmrEvent, mmrResponses.front().readyAt);
-    return true;
-}
-
-void
-Dma::sendMmrResponses()
-{
-    while (!mmrResponses.empty()) {
-        PendingMmr &front = mmrResponses.front();
-        if (front.readyAt > curTick()) {
-            if (!mmrEvent.scheduled())
-                schedule(mmrEvent, front.readyAt);
-            return;
-        }
-        if (!pioPort.sendTimingResp(front.pkt))
-            return;
-        mmrResponses.pop_front();
-    }
 }
 
 } // namespace salam::core

@@ -82,30 +82,15 @@ class Dma : public ClockedObject
     /** Ticks from start to completion of the last transfer. */
     Tick lastTransferTicks() const { return lastDuration; }
 
+    /** MMIO accesses answered with an error response. */
+    std::uint64_t mmrDecodeErrorCount() const
+    { return pioPort.decodeErrors(); }
+
     void dumpDiagnostics(obs::JsonBuilder &json) const override;
 
     std::string stuckReason() const override;
 
   private:
-    class PioPort : public mem::ResponsePort
-    {
-      public:
-        explicit PioPort(Dma &owner)
-            : mem::ResponsePort(owner.name() + ".pio"), owner(owner)
-        {}
-
-        bool
-        recvTimingReq(mem::PacketPtr pkt) override
-        {
-            return owner.handleMmrAccess(pkt);
-        }
-
-        void recvRespRetry() override { owner.sendMmrResponses(); }
-
-      private:
-        Dma &owner;
-    };
-
     class DmaPort : public mem::RequestPort
     {
       public:
@@ -125,16 +110,6 @@ class Dma : public ClockedObject
         Dma &owner;
     };
 
-    struct PendingMmr
-    {
-        mem::PacketPtr pkt;
-        Tick readyAt;
-    };
-
-    bool handleMmrAccess(mem::PacketPtr pkt);
-
-    void sendMmrResponses();
-
     bool handleDataResponse(mem::PacketPtr pkt);
 
     /** Issue read bursts while outstanding slots remain. */
@@ -143,13 +118,11 @@ class Dma : public ClockedObject
     void finishTransfer();
 
     DmaConfig cfg;
-    PioPort pioPort;
+    MmrPort pioPort;
     DmaPort dmaPort;
     std::array<std::uint64_t, 4> regs{};
     /** Write bursts refused downstream, resent from pump(). */
     std::deque<mem::PacketPtr> blockedWrites;
-    std::deque<PendingMmr> mmrResponses;
-    EventFunctionWrapper mmrEvent;
     EventFunctionWrapper pumpEvent;
     std::function<void()> irq;
 

@@ -87,12 +87,10 @@ parseOptions(int argc, char **argv, const OptionList &table,
 
         std::string inline_value;
         bool has_inline_value = false;
-        if (policy.inlineValues) {
-            if (auto eq = arg.find('='); eq != std::string::npos) {
-                inline_value = arg.substr(eq + 1);
-                has_inline_value = true;
-                arg.erase(eq);
-            }
+        if (auto eq = arg.find('='); eq != std::string::npos) {
+            inline_value = arg.substr(eq + 1);
+            has_inline_value = true;
+            arg.erase(eq);
         }
 
         if (policy.handleHelp && arg == "--help") {

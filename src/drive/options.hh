@@ -79,9 +79,6 @@ struct ParsePolicy
     /** First argv index to parse (2 for subcommand tools). */
     int firstArg = 1;
 
-    /** Accept "--opt=value" in addition to "--opt value". */
-    bool inlineValues = true;
-
     /**
      * Print the option table and std::exit(0) on --help. When
      * false, --help is an unknown option like any other.
@@ -111,7 +108,7 @@ struct ParseResult
 
 /**
  * Parse argv against @p table under @p policy. Recognizes
- * "--opt value" (and "--opt=value" when the policy allows it);
+ * "--opt value" and "--opt=value";
  * output-path option values get their missing parent directories
  * created here, at parse time.
  */

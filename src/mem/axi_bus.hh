@@ -23,30 +23,31 @@
  *    a retry is signalled when a response frees a credit.
  *
  * Hence a bus whose width covers every packet, with unlimited
- * credits, is cycle-identical to the crossbar (the fig10 A/B gate),
- * while a narrow-width/low-credit configuration serializes bursts
- * and starves requesters — the contention the crossbar cannot
- * express. Stalls are annotated on packets (svcBusArbitration,
+ * credits, is cycle-identical to the crossbar as long as no two
+ * requesters send in the same tick (the fig10 A/B gate, one
+ * requester). Same-tick requests from several requesters leave in
+ * round-robin order from the cursor, where the crossbar keeps their
+ * arrival order (AxiLikeBus.SameTickRequestsLeaveInRoundRobinOrder).
+ * A narrow-width/low-credit configuration serializes bursts and
+ * starves requesters — the contention the crossbar cannot express.
+ * Stalls are annotated on packets (svcBusArbitration,
  * svcCreditStall) so the profiler attributes the new timing.
  */
 
 #ifndef SALAM_MEM_AXI_BUS_HH
 #define SALAM_MEM_AXI_BUS_HH
 
-#include <memory>
 #include <vector>
 
 #include "interconnect.hh"
-#include "port.hh"
 #include "ring_queue.hh"
-#include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 
 namespace salam::mem
 {
 
 /** The AXI-like split-channel bus. */
-class AxiLikeBus : public ClockedObject, public Interconnect
+class AxiLikeBus : public Interconnect
 {
   public:
     AxiLikeBus(Simulation &sim, std::string name, Tick clock_period,
@@ -57,79 +58,28 @@ class AxiLikeBus : public ClockedObject, public Interconnect
 
     ResponsePort &addRequester(const std::string &label) override;
 
-    void connectDevice(ResponsePort &device_port,
-                       AddrRange range) override;
-
-    void connectDefault(ResponsePort &device_port) override;
-
-    const std::vector<AddrRange> &routedRanges() const override
-    { return ranges; }
-
-    /** Transactions granted onto either request channel. */
-    std::uint64_t forwardedRequests() const { return forwarded; }
-
     /** Ready transactions that waited for a busy data channel. */
     std::uint64_t arbitrationStallCount() const
     { return arbitrationStalls; }
-
-    /** Requests refused for an exhausted per-requester credit. */
-    std::uint64_t creditStallCount() const { return creditStalls; }
 
     void dumpDiagnostics(obs::JsonBuilder &json) const override;
 
     std::string stuckReason() const override;
 
+  protected:
+    void queueRequest(PacketPtr pkt, unsigned upstream_index,
+                      unsigned target) override;
+
+    void queueResponse(PacketPtr pkt,
+                       unsigned upstream_index) override;
+
+    /** Pump both request channels. */
+    void pumpRequests() override;
+
+    /** Pump both response channels. */
+    void pumpResponses() override;
+
   private:
-    class UpstreamPort : public ResponsePort
-    {
-      public:
-        UpstreamPort(AxiLikeBus &owner, unsigned index,
-                     const std::string &label)
-            : ResponsePort(owner.name() + ".up." + label),
-              owner(owner), index(index)
-        {}
-
-        bool
-        recvTimingReq(PacketPtr pkt) override
-        {
-            return owner.handleRequest(pkt, index);
-        }
-
-        void recvRespRetry() override { owner.pumpAllResponses(); }
-
-      private:
-        AxiLikeBus &owner;
-        unsigned index;
-    };
-
-    class DownstreamPort : public RequestPort
-    {
-      public:
-        DownstreamPort(AxiLikeBus &owner, unsigned index)
-            : RequestPort(owner.name() + ".down" +
-                          std::to_string(index)),
-              owner(owner)
-        {}
-
-        bool
-        recvTimingResp(PacketPtr pkt) override
-        {
-            return owner.handleResponse(pkt);
-        }
-
-        void recvReqRetry() override { owner.pumpAllRequests(); }
-
-      private:
-        AxiLikeBus &owner;
-    };
-
-    struct Routed
-    {
-        PacketPtr pkt;
-        unsigned portIndex; ///< downstream for reqs, upstream for resps
-        Tick readyAt;
-    };
-
     /** One request channel (AR or AW/W): per-requester queues. */
     struct RequestChannel
     {
@@ -137,7 +87,6 @@ class AxiLikeBus : public ClockedObject, public Interconnect
         std::vector<RingQueue<Routed>> pending;
         unsigned rrNext = 0;
         Tick busyUntil = 0;
-        std::uint64_t granted = 0;
         std::uint64_t busyCycles = 0;
         EventFunctionWrapper event;
 
@@ -158,56 +107,29 @@ class AxiLikeBus : public ClockedObject, public Interconnect
     /** One response channel (R or B): FIFO in device order. */
     struct ResponseChannel
     {
-        const char *label;
         RingQueue<Routed> pending;
         Tick busyUntil = 0;
         std::uint64_t busyCycles = 0;
         EventFunctionWrapper event;
 
-        ResponseChannel(const char *label,
-                        EventFunctionWrapper event)
-            : label(label), event(std::move(event))
+        explicit ResponseChannel(EventFunctionWrapper event)
+            : event(std::move(event))
         {}
     };
 
-    bool handleRequest(PacketPtr pkt, unsigned upstream_index);
+    void pumpChannel(RequestChannel &ch);
 
-    bool handleResponse(PacketPtr pkt);
-
-    void pumpRequests(RequestChannel &ch);
-
-    void pumpResponses(ResponseChannel &ch);
-
-    void pumpAllRequests();
-
-    void pumpAllResponses();
-
-    /** Free one credit for @p upstream_index and wake it if blocked. */
-    void releaseCredit(unsigned upstream_index);
-
-    unsigned routeFor(PacketPtr pkt) const;
+    void pumpChannel(ResponseChannel &ch);
 
     /** Data-channel beats a packet of @p bytes occupies. */
     unsigned beatsFor(unsigned bytes) const;
-
-    InterconnectConfig cfg;
-    std::vector<std::unique_ptr<UpstreamPort>> upstream;
-    std::vector<std::unique_ptr<DownstreamPort>> downstream;
-    std::vector<AddrRange> ranges;
-    int defaultRoute = -1;
 
     RequestChannel readReq;
     RequestChannel writeReq;
     ResponseChannel readResp;
     ResponseChannel writeResp;
 
-    std::vector<unsigned> outstanding;
-    std::vector<bool> creditRetryPending;
-    std::vector<bool> wasCreditStalled;
-
-    std::uint64_t forwarded = 0;
     std::uint64_t arbitrationStalls = 0;
-    std::uint64_t creditStalls = 0;
 
     /** Sampled per incoming request once init() registered them. */
     Histogram *readQueueOccupancy = nullptr;

@@ -1,5 +1,9 @@
 #include "port.hh"
 
+#include "inject/fault_injector.hh"
+#include "sim/sim_object.hh"
+#include "sim/simulation.hh"
+
 namespace salam::mem
 {
 
@@ -45,6 +49,20 @@ bindPorts(RequestPort &req, ResponsePort &resp)
               resp.name().c_str());
     req.peer = &resp;
     resp.peer = &req;
+}
+
+bool
+refusedByInjector(ClockedObject &owner, ResponsePort &port,
+                  PacketPtr pkt)
+{
+    inject::FaultInjector *fi = owner.simulation().faultInjector();
+    if (!fi || !fi->refuseRequest(owner.name()))
+        return false;
+    pkt->serviceFlags |= svcQueued;
+    owner.eventQueue().schedule(
+        owner.clockEdge(Cycles(1)), [&port] { port.sendReqRetry(); },
+        owner.name() + ".injected_retry");
+    return true;
 }
 
 } // namespace salam::mem

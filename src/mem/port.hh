@@ -19,6 +19,11 @@
 
 #include "packet.hh"
 
+namespace salam
+{
+class ClockedObject;
+}
+
 namespace salam::mem
 {
 
@@ -90,6 +95,15 @@ class ResponsePort
 
 /** Bind a request port to a response port (1:1, once). */
 void bindPorts(RequestPort &req, ResponsePort &resp);
+
+/**
+ * RetryStorm injection at a timing responder: when the simulation's
+ * fault injector refuses @p pkt at @p owner, flag the packet queued,
+ * owe the requester behind @p port a retry on @p owner's next clock
+ * edge and return true; the caller then refuses the request.
+ */
+bool refusedByInjector(ClockedObject &owner, ResponsePort &port,
+                       PacketPtr pkt);
 
 } // namespace salam::mem
 

@@ -115,17 +115,8 @@ bool
 Scratchpad::handleRequest(PacketPtr pkt, unsigned source_port)
 {
     SALAM_ASSERT(cfg.range.contains(pkt->addr(), pkt->size()));
-    if (inject::FaultInjector *fi = simulation().faultInjector();
-        fi && fi->refuseRequest(name())) {
-        pkt->serviceFlags |= svcQueued;
-        eventQueue().schedule(
-            clockEdge(Cycles(1)),
-            [this, source_port] {
-                ports[source_port]->sendReqRetry();
-            },
-            name() + ".injected_retry");
+    if (refusedByInjector(*this, *ports[source_port], pkt))
         return false;
-    }
     unsigned bank = cfg.banks > 1 ? bankOf(pkt->addr()) : 0;
     requestQueue.push_back(QueuedAccess{
         pkt, source_port, bank, pkt->cmd() == MemCmd::ReadReq});

@@ -65,15 +65,8 @@ bool
 SimpleDram::handleRequest(PacketPtr pkt)
 {
     SALAM_ASSERT(cfg.range.contains(pkt->addr(), pkt->size()));
-    inject::FaultInjector *fi = simulation().faultInjector();
-    if (fi && fi->refuseRequest(name())) {
-        pkt->serviceFlags |= svcQueued;
-        eventQueue().schedule(
-            clockEdge(Cycles(1)),
-            [this] { responsePort.sendReqRetry(); },
-            name() + ".injected_retry");
+    if (refusedByInjector(*this, responsePort, pkt))
         return false;
-    }
     access(pkt);
 
     // Timing: the transfer occupies the data bus for size/bandwidth
@@ -96,7 +89,7 @@ SimpleDram::handleRequest(PacketPtr pkt)
     busFreeAt = start + std::max<Tick>(occupancy, 1);
     Tick ready = busFreeAt + cfg.accessLatency;
 
-    if (fi) {
+    if (inject::FaultInjector *fi = simulation().faultInjector()) {
         std::uint8_t *payload = pkt->isRead()
             ? pkt->data()
             : store.get() + (pkt->addr() - cfg.range.start);

@@ -99,7 +99,7 @@ class StallableDevice
 TEST(CrossbarBackpressure, ThroughputLimitUnderSimultaneousLoad)
 {
     Simulation sim;
-    CrossbarConfig xcfg;
+    InterconnectConfig xcfg;
     xcfg.requestsPerCycle = 1;
     auto &xbar = sim.create<Crossbar>("xbar", 10, xcfg);
     auto scfg = spmConfig(0, 0x1000);
@@ -265,7 +265,7 @@ TEST(CrossbarBackpressure, RetriesAfterDownstreamRefusal)
 TEST(CrossbarBackpressure, CreditLimitThrottlesRequester)
 {
     Simulation sim;
-    CrossbarConfig xcfg;
+    InterconnectConfig xcfg;
     xcfg.maxOutstandingPerRequester = 1;
     auto &xbar = sim.create<Crossbar>("xbar", 10, xcfg);
     auto scfg = spmConfig(0, 0x1000);
@@ -294,7 +294,7 @@ TEST(CrossbarBackpressure, CreditLimitThrottlesRequester)
 TEST(CrossbarBackpressure, CreditWindowPipelines)
 {
     Simulation sim;
-    CrossbarConfig xcfg;
+    InterconnectConfig xcfg;
     xcfg.maxOutstandingPerRequester = 2;
     auto &xbar = sim.create<Crossbar>("xbar", 10, xcfg);
     auto scfg = spmConfig(0, 0x1000);

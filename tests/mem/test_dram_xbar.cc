@@ -183,7 +183,7 @@ TEST(Crossbar, MultipleRequestersGetOwnResponses)
 TEST(Crossbar, AddsForwardingLatency)
 {
     Simulation sim;
-    CrossbarConfig xcfg;
+    InterconnectConfig xcfg;
     xcfg.forwardLatency = 2;
     xcfg.responseLatency = 2;
     auto &xbar = sim.create<Crossbar>("xbar", 10, xcfg);
@@ -236,7 +236,7 @@ TEST(Crossbar, OverlappingRangesAreFatal)
 TEST(Crossbar, ThroughputLimitSerializes)
 {
     Simulation sim;
-    CrossbarConfig xcfg;
+    InterconnectConfig xcfg;
     xcfg.requestsPerCycle = 1;
     auto &xbar = sim.create<Crossbar>("xbar", 10, xcfg);
     ScratchpadConfig cfg;

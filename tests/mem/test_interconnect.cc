@@ -223,6 +223,47 @@ TEST(AxiLikeBus, WideBusMatchesCrossbarTiming)
 }
 
 /**
+ * Where the equivalence ends: three requesters send in the same
+ * tick (r2, r0, r1), and r2 and r0 once more a cycle later, to a
+ * one-read-port scratchpad. The crossbar serves them in arrival
+ * order; the wide bus serves each tick's requests round-robin from
+ * its cursor, which starts at requester 0.
+ */
+TEST(AxiLikeBus, SameTickRequestsLeaveInRoundRobinOrder)
+{
+    auto run_fabric = [](InterconnectKind kind) {
+        Simulation sim;
+        InterconnectConfig cfg;
+        cfg.kind = kind;
+        cfg.busWidthBytes = 64;
+        Interconnect &fab = makeInterconnect(sim, "fab", 10, cfg);
+        auto scfg = spmConfig(0, 0x1000);
+        scfg.readPorts = 1;
+        auto &spm = sim.create<Scratchpad>("spm", 10, scfg);
+        fab.connectDevice(spm.port(0), scfg.range);
+        TestRequester r0(sim, "r0"), r1(sim, "r1"), r2(sim, "r2");
+        bindPorts(r0, fab.addRequester("r0"));
+        bindPorts(r1, fab.addRequester("r1"));
+        bindPorts(r2, fab.addRequester("r2"));
+        std::vector<std::pair<TestRequester *, PacketPtr>> sends;
+        sends.emplace_back(&r2, r2.read(0, 0x00, 8));
+        sends.emplace_back(&r0, r0.read(0, 0x08, 8));
+        sends.emplace_back(&r1, r1.read(0, 0x10, 8));
+        sends.emplace_back(&r2, r2.read(10, 0x18, 8));
+        sends.emplace_back(&r0, r0.read(10, 0x20, 8));
+        sim.run();
+        std::vector<Tick> arrivals;
+        for (auto &[req, pkt] : sends)
+            arrivals.push_back(req->arrivalOf(pkt));
+        return arrivals;
+    };
+    EXPECT_EQ(run_fabric(InterconnectKind::Crossbar),
+              (std::vector<Tick>{30, 40, 50, 60, 70}));
+    EXPECT_EQ(run_fabric(InterconnectKind::AxiBus),
+              (std::vector<Tick>{50, 30, 40, 70, 60}));
+}
+
+/**
  * Multi-beat occupancy: back-to-back 16-byte reads on a 4-byte bus
  * are 4 beats each; the second transaction's address phase can
  * start immediately but its data phase waits for the first's 3

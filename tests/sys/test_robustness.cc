@@ -125,6 +125,34 @@ TEST(Robustness, UndecodableMmrAccessGetsErrorResponseAndRunSurvives)
     EXPECT_TRUE(host.finished());
 }
 
+TEST(Robustness, MisalignedDmaMmrAccessGetsErrorResponse)
+{
+    // The DMA decodes its registers by the comm interface's rule: a
+    // misaligned access gets an error response instead of aliasing
+    // the register below it (offset 4 used to start a transfer).
+    Simulation sim;
+    SalamSystem sys(sim);
+    auto &cluster = sys.addCluster("c0", periodFromMhz(100));
+    auto &dma = cluster.addDma("dma", core::DmaConfig{});
+    const std::uint64_t mmr = dma.config().mmrRange.start;
+    const std::uint64_t src = SystemAddressMap::dramBase + 0x1000;
+
+    DriverCpu &host = sys.host();
+    host.push(HostOp::writeReg(mmr + 8, src));
+    host.push(HostOp::writeReg(mmr + 16, src + 0x1000));
+    host.push(HostOp::writeReg(mmr + 24, 64));
+    host.push(HostOp::writeReg(
+        mmr + 4, core::ctrl_bits::start | core::ctrl_bits::irqEnable));
+    host.push(HostOp::readReg(mmr + 12));
+    sys.run();
+
+    EXPECT_EQ(dma.mmrDecodeErrorCount(), 2u);
+    EXPECT_FALSE(dma.done());
+    EXPECT_EQ(dma.bytesMoved(), 0u);
+    EXPECT_EQ(dma.readReg(3), 64u);
+    EXPECT_TRUE(host.finished());
+}
+
 TEST(Robustness, QueueDrainWithUnfinishedHostIsFatalAndNamesWaiter)
 {
     const std::string dump = "robustness_drain_dump.json";
