@@ -2,6 +2,7 @@
 
 #include "axi_bus.hh"
 #include "crossbar.hh"
+#include "inject/fault_injector.hh"
 #include "sim/simulation.hh"
 
 namespace salam::mem
@@ -105,7 +106,9 @@ Interconnect::routeFor(PacketPtr pkt) const
 bool
 Interconnect::handleRequest(PacketPtr pkt, unsigned upstream_index)
 {
-    if (refusedByInjector(*this, *upstream[upstream_index], pkt))
+    if (inject::FaultInjector *fi = simulation().faultInjector();
+        fi && refusedByInjector(*fi, *this, *upstream[upstream_index],
+                                pkt))
         return false;
     // Per-requester outstanding-transaction credits: at the limit,
     // refuse and owe a retry for when a response frees a credit.

@@ -2,7 +2,6 @@
 
 #include "inject/fault_injector.hh"
 #include "sim/sim_object.hh"
-#include "sim/simulation.hh"
 
 namespace salam::mem
 {
@@ -52,11 +51,10 @@ bindPorts(RequestPort &req, ResponsePort &resp)
 }
 
 bool
-refusedByInjector(ClockedObject &owner, ResponsePort &port,
-                  PacketPtr pkt)
+refusedByInjector(inject::FaultInjector &fi, ClockedObject &owner,
+                  ResponsePort &port, PacketPtr pkt)
 {
-    inject::FaultInjector *fi = owner.simulation().faultInjector();
-    if (!fi || !fi->refuseRequest(owner.name()))
+    if (!fi.refuseRequest(owner.name()))
         return false;
     pkt->serviceFlags |= svcQueued;
     owner.eventQueue().schedule(

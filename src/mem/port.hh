@@ -24,6 +24,11 @@ namespace salam
 class ClockedObject;
 }
 
+namespace salam::inject
+{
+class FaultInjector;
+}
+
 namespace salam::mem
 {
 
@@ -97,13 +102,14 @@ class ResponsePort
 void bindPorts(RequestPort &req, ResponsePort &resp);
 
 /**
- * RetryStorm injection at a timing responder: when the simulation's
- * fault injector refuses @p pkt at @p owner, flag the packet queued,
- * owe the requester behind @p port a retry on @p owner's next clock
- * edge and return true; the caller then refuses the request.
+ * RetryStorm injection at a timing responder: when @p fi refuses
+ * @p pkt at @p owner, flag the packet queued, owe the requester
+ * behind @p port a retry on @p owner's next clock edge and return
+ * true; the caller then refuses the request. Callers test for an
+ * attached injector first, so runs without one pay no call.
  */
-bool refusedByInjector(ClockedObject &owner, ResponsePort &port,
-                       PacketPtr pkt);
+bool refusedByInjector(inject::FaultInjector &fi, ClockedObject &owner,
+                       ResponsePort &port, PacketPtr pkt);
 
 } // namespace salam::mem
 

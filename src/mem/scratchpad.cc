@@ -115,7 +115,8 @@ bool
 Scratchpad::handleRequest(PacketPtr pkt, unsigned source_port)
 {
     SALAM_ASSERT(cfg.range.contains(pkt->addr(), pkt->size()));
-    if (refusedByInjector(*this, *ports[source_port], pkt))
+    if (inject::FaultInjector *fi = simulation().faultInjector();
+        fi && refusedByInjector(*fi, *this, *ports[source_port], pkt))
         return false;
     unsigned bank = cfg.banks > 1 ? bankOf(pkt->addr()) : 0;
     requestQueue.push_back(QueuedAccess{

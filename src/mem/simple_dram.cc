@@ -65,7 +65,8 @@ bool
 SimpleDram::handleRequest(PacketPtr pkt)
 {
     SALAM_ASSERT(cfg.range.contains(pkt->addr(), pkt->size()));
-    if (refusedByInjector(*this, responsePort, pkt))
+    inject::FaultInjector *fi = simulation().faultInjector();
+    if (fi && refusedByInjector(*fi, *this, responsePort, pkt))
         return false;
     access(pkt);
 
@@ -89,7 +90,7 @@ SimpleDram::handleRequest(PacketPtr pkt)
     busFreeAt = start + std::max<Tick>(occupancy, 1);
     Tick ready = busFreeAt + cfg.accessLatency;
 
-    if (inject::FaultInjector *fi = simulation().faultInjector()) {
+    if (fi) {
         std::uint8_t *payload = pkt->isRead()
             ? pkt->data()
             : store.get() + (pkt->addr() - cfg.range.start);
