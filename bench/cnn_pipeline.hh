@@ -2,8 +2,9 @@
  * @file
  * The CNN layer (conv3x3 -> ReLU -> maxpool2x2) that fig16 and the
  * interconnect sweep's contention curve run: its input image, the
- * host golden model, the output check, and scenario (a), the
- * private-scratchpad pipeline the host sequences through a DMA.
+ * host golden model, the output check, the per-scenario run files,
+ * and scenario (a), the private-scratchpad pipeline the host
+ * sequences through a DMA.
  */
 
 #ifndef SALAM_BENCH_CNN_PIPELINE_HH
@@ -12,12 +13,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/dma.hh"
+#include "drive/testbench.hh"
 #include "kernels/machsuite.hh"
 #include "mem/interconnect.hh"
 #include "mem/scratchpad.hh"
+#include "obs/critical_path.hh"
+#include "obs/interval_stats.hh"
 #include "sys/system.hh"
 
 namespace salam::bench::cnn
@@ -85,6 +91,99 @@ checkOutput(sys::SalamSystem &sys, std::uint64_t dram_out,
     }
 }
 
+/**
+ * The per-run files of one scenario's simulation. fig16 runs one
+ * simulation per scenario, so each per-run option names one file per
+ * scenario: the option's path with ".<scenario>.json" appended
+ * (--stats-out s.json writes s.json.private.json, s.json.shared.json
+ * and s.json.stream.json). --stats-interval rows go beside the
+ * scenario's stats file with ".intervals.jsonl" appended
+ * (stats.<scenario>.intervals.jsonl without --stats-out).
+ * --profile-out writes one critical-path report per accelerator,
+ * "<path>.<scenario>.<accelerator>.json", with its ".folded" stacks.
+ */
+class ScenarioFiles
+{
+  public:
+    /**
+     * Turn on the tracing and profiling @p options ask for (nullptr:
+     * none). Construct before the system runs.
+     */
+    ScenarioFiles(const drive::ObsOptions *options,
+                  sys::SalamSystem &system, std::string scenario)
+        : options(options), system(system),
+          scenario(std::move(scenario))
+    {
+        if (options == nullptr)
+            return;
+        Simulation &sim = system.simulation();
+        if (!options->traceOut.empty())
+            sim.enableTracing();
+        if (!options->profileOut.empty())
+            sim.enableProfiling();
+    }
+
+    /**
+     * Start the interval series, --stats-interval cycles of
+     * @p cycle_period (the accelerators' clock) long; call right
+     * before the run.
+     */
+    void
+    start(Tick cycle_period)
+    {
+        if (options == nullptr || options->statsInterval == 0)
+            return;
+        obs::IntervalStats::Config icfg;
+        icfg.intervalTicks = options->statsInterval * cycle_period;
+        icfg.path = options->statsOut.empty()
+            ? "stats." + scenario + ".intervals.jsonl"
+            : fileFor(options->statsOut) + ".intervals.jsonl";
+        icfg.active = [&host = system.host()] {
+            return !host.finished();
+        };
+        intervals = std::make_unique<obs::IntervalStats>(
+            system.simulation().eventQueue(),
+            system.simulation().stats(), std::move(icfg));
+        intervals->start();
+    }
+
+    /** Write every file the options ask for; call after the run. */
+    void
+    write()
+    {
+        if (options == nullptr)
+            return;
+        Simulation &sim = system.simulation();
+        sim.finalizeAll();
+        if (intervals)
+            intervals->finalize();
+        if (!options->profileOut.empty()) {
+            for (const auto &[owner, prof] : sim.profilers()) {
+                drive::writeProfileFiles(
+                    obs::analyzeCriticalPath(*prof),
+                    options->profileOut + "." + scenario + "." + owner +
+                        ".json");
+            }
+        }
+        if (!options->traceOut.empty())
+            drive::writeTraceFile(sim, fileFor(options->traceOut));
+        if (!options->statsOut.empty())
+            drive::writeStatsFile(sim, fileFor(options->statsOut));
+    }
+
+  private:
+    std::string
+    fileFor(const std::string &option) const
+    {
+        return option + "." + scenario + ".json";
+    }
+
+    const drive::ObsOptions *options;
+    sys::SalamSystem &system;
+    std::string scenario;
+    std::unique_ptr<obs::IntervalStats> intervals;
+};
+
 /** The stage scratchpads: 4 read/write ports, 2 connection ports. */
 inline mem::ScratchpadConfig
 spmProto()
@@ -100,13 +199,15 @@ spmProto()
  * Scenario (a): private SPMs, DMA transfers, host-sequenced. Builds
  * one cluster whose local fabric is @p icfg and whose data mover is
  * @p dma_proto, checks the pipeline's output, and returns its
- * end-to-end ticks.
+ * end-to-end ticks. @p files, when given, names the per-run files
+ * to write (see ScenarioFiles).
  */
 inline Tick
 scenarioPrivate(const std::vector<float> &image,
                 const std::vector<float> &expected,
                 const mem::InterconnectConfig &icfg,
-                const core::DmaConfig &dma_proto)
+                const core::DmaConfig &dma_proto,
+                const drive::ObsOptions *files = nullptr)
 {
     using namespace salam::kernels;
     using namespace salam::mem;
@@ -114,6 +215,7 @@ scenarioPrivate(const std::vector<float> &image,
 
     Simulation sim;
     SalamSystem sys(sim);
+    ScenarioFiles out(files, sys, "private");
     auto &cluster = sys.addCluster("c0", periodFromMhz(100), 0,
                                    icfg);
 
@@ -190,7 +292,9 @@ scenarioPrivate(const std::vector<float> &image,
                             poolOutBytes);
     host.push(HostOp::waitIrq(dma_irq));
     host.push(HostOp::mark("end"));
+    out.start(periodFromMhz(100));
     sys.run();
+    out.write();
 
     checkOutput(sys, dram_out, expected, "private");
     return host.markAt("end") - host.markAt("begin");

@@ -45,10 +45,12 @@ clusterDma()
 Tick
 scenarioShared(const std::vector<float> &image,
                const std::vector<float> &expected,
-               const InterconnectConfig &icfg)
+               const InterconnectConfig &icfg,
+               const ObsOptions &options)
 {
     Simulation sim;
     SalamSystem sys(sim);
+    ScenarioFiles out(&options, sys, "shared");
     auto &cluster = sys.addCluster("c0", periodFromMhz(100), 0,
                                    icfg);
 
@@ -117,7 +119,9 @@ scenarioShared(const std::vector<float> &image,
                             poolOutBytes);
     host.push(HostOp::waitIrq(dma_irq));
     host.push(HostOp::mark("end"));
+    out.start(periodFromMhz(100));
     sys.run();
+    out.write();
 
     checkOutput(sys, dram_out, expected, "shared");
     return host.markAt("end") - host.markAt("begin");
@@ -127,10 +131,12 @@ scenarioShared(const std::vector<float> &image,
 Tick
 scenarioStream(const std::vector<float> &image,
                const std::vector<float> &expected,
-               const InterconnectConfig &icfg)
+               const InterconnectConfig &icfg,
+               const ObsOptions &options)
 {
     Simulation sim;
     SalamSystem sys(sim);
+    ScenarioFiles out(&options, sys, "stream");
     auto &cluster = sys.addCluster("c0", periodFromMhz(100), 0,
                                    icfg);
 
@@ -213,7 +219,9 @@ scenarioStream(const std::vector<float> &image,
                             poolOutBytes);
     host.push(HostOp::waitIrq(dma_irq));
     host.push(HostOp::mark("end"));
+    out.start(periodFromMhz(100));
     sys.run();
+    out.write();
 
     checkOutput(sys, dram_out, expected, "stream");
     return host.markAt("end") - host.markAt("begin");
@@ -240,10 +248,11 @@ main(int argc, char **argv)
     header("Fig. 16: producer-consumer accelerator scenarios "
            "(CNN layer: conv3x3 -> ReLU -> maxpool2x2)");
 
+    // Each scenario writes its own per-run files (ScenarioFiles).
     Tick t_private =
-        scenarioPrivate(image, expected, icfg, clusterDma());
-    Tick t_shared = scenarioShared(image, expected, icfg);
-    Tick t_stream = scenarioStream(image, expected, icfg);
+        scenarioPrivate(image, expected, icfg, clusterDma(), &options);
+    Tick t_shared = scenarioShared(image, expected, icfg, options);
+    Tick t_stream = scenarioStream(image, expected, icfg, options);
 
     auto us = [](Tick t) { return static_cast<double>(t) / 1e6; };
     std::printf("%-28s %12s %10s\n", "Scenario", "end-to-end(us)",

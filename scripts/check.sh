@@ -460,9 +460,12 @@ echo "== per-run outputs: fast-mode artifacts, fig16 report"
     --stats-out "${smoke_dir}/fast_stats.json" \
     >"${smoke_dir}/fast_stats.out" 2>&1
 # fig16 sends its record through the recorder, which also writes
-# the --report-out line.
+# the --report-out line, and writes each per-run file once per
+# scenario (the option's path + ".<scenario>.json").
 "${perf_dir}/bench/fig16_multi_accelerator" \
-    --report-out "${smoke_dir}/fig16_report.jsonl" >/dev/null
+    --report-out "${smoke_dir}/fig16_report.jsonl" \
+    --stats-out "${smoke_dir}/fig16_stats.json" \
+    --trace-out "${smoke_dir}/fig16_trace.json" >/dev/null
 python3 - "${smoke_dir}" <<'PYEOF'
 import json, os, sys
 d = sys.argv[1]
@@ -474,7 +477,13 @@ assert os.path.exists(report), "fig16 wrote no --report-out file"
 lines = open(report).read().splitlines()
 assert len(lines) == 1, f"fig16 report has {len(lines)} lines, not 1"
 assert json.loads(lines[0])["run"] == "fig16-contention", lines[0]
-print("per-run outputs ok: fast-mode stats JSON, one fig16 report line")
+for kind in ("stats", "trace"):
+    for scenario in ("private", "shared", "stream"):
+        path = f"{d}/fig16_{kind}.json.{scenario}.json"
+        assert os.path.exists(path), f"fig16 wrote no {path}"
+        json.load(open(path))
+print("per-run outputs ok: fast-mode stats JSON, one fig16 report "
+      "line, fig16 stats and trace JSON for all three scenarios")
 PYEOF
 
 echo "== robustness: kill-and-resume, timeouts, retry records"

@@ -5,22 +5,27 @@
  *
  * The trace-reuse fast path (Sec. "incremental simulation") runs the
  * full execute-in-execute engine once with capture enabled, recording
- * per dynamic instance everything that depends on *data*: the static
- * instruction executed, the control edge each terminator took, and
- * every resolved memory address. A replay then drives the same
- * RuntimeEngine with this trace as its operand source
- * (RuntimeEngine::setTraceSource) under different FU counts, port
- * limits, queue sizes, and memory latencies without re-executing a
- * single operand — those knobs change *when* instances issue, never
+ * per dynamic instance only what depends on *data*: the control edge
+ * each terminator took and every resolved memory address. A replay
+ * then drives the same RuntimeEngine with this trace as its operand
+ * source (RuntimeEngine::setTraceSource) under different FU counts,
+ * port limits, queue sizes, and memory latencies without re-executing
+ * a single operand — those knobs change *when* instances issue, never
  * *which* instances exist or *where* they touch memory.
  *
- * The record is deliberately minimal: one 24-byte POD per dynamic
- * instance, indexed by the engine's dynamic seq. Operand values are
- * NOT stored — the engine does not evaluate under a trace source, so
- * it only needs the dependence shape (already in the StaticCdfg)
- * plus the data-driven outcomes captured here. The trace is stamped
- * with a hash of the captured function's IR, so a replay on any
- * other IR is refused.
+ * The record is one 8-byte word per dynamic instance, indexed by the
+ * engine's dynamic seq: a load's or store's resolved address, a
+ * branch's successor block id, and nothing for any other
+ * instruction. Everything else follows from the IR the trace is
+ * stamped with (a hash of the captured function): static ids are
+ * assigned in block and instruction order (StaticCdfg), so the
+ * instruction a seq executed is fixed by walking the chain of block
+ * imports from the entry block, each branch word naming the next
+ * one; an access's size is StaticFacts::memSize. A replay on any
+ * other IR is refused, and drive::buildReplayPrep checks the chain
+ * before a replay starts. Operand values are not stored either: the
+ * engine does not evaluate under a trace source, so it only needs the
+ * dependence shape (already in the StaticCdfg) plus these outcomes.
  */
 
 #ifndef SALAM_CORE_DYN_TRACE_HH
@@ -38,31 +43,26 @@ class Function;
 namespace salam::core
 {
 
-/** Per-dynamic-instance capture record (index == engine seq). */
+/**
+ * Per-dynamic-instance capture record (index == engine seq): the one
+ * outcome of the instance that data decides.
+ */
 struct DynTraceInst
 {
-    /** StaticInstInfo::id of the instruction executed. */
-    std::uint32_t staticId = 0;
-
     /**
-     * For terminators: StaticBlockInfo::id of the successor block
-     * the branch imported (noBranchTarget for everything else,
-     * including ret).
+     * Loads and stores: the resolved effective address. Branches:
+     * the StaticBlockInfo::id of the successor block the branch
+     * imported. Unused (0) for every other instruction, ret included.
      */
-    std::uint32_t branchTarget = ~0u;
-
-    /** Resolved effective address (memory ops). */
-    std::uint64_t memAddr = 0;
-
-    /** Access size in bytes (memory ops; 0 otherwise). */
-    std::uint32_t memSize = 0;
+    std::uint64_t word = 0;
 };
+
+static_assert(sizeof(DynTraceInst) == 8,
+              "a trace costs one word per dynamic instance");
 
 /** One captured execution of one (kernel, input) pair. */
 struct DynTrace
 {
-    static constexpr std::uint32_t noBranchTarget = ~0u;
-
     /**
      * Caller-assigned identity of the (kernel variant, input) pair.
      * Kernel::name() alone is NOT enough — e.g. every GEMM unroll
@@ -94,8 +94,8 @@ struct DynTrace
 
 /**
  * obs::fnv1aHash of @p fn's printer text: the identity of the IR a
- * trace's static ids refer to. The function is hashed, not its
- * module, whose name differs between capture and replay.
+ * trace's block chain and words refer to. The function is hashed,
+ * not its module, whose name differs between capture and replay.
  */
 std::uint64_t irHashOf(const ir::Function &fn);
 

@@ -227,8 +227,7 @@ RuntimeEngine::createDynInst(const StaticInstInfo &info)
 
     ++engineStats.dynamicInstructions;
     if (capture != nullptr)
-        capture->insts.push_back({info.id, DynTrace::noBranchTarget,
-                                  0, 0});
+        capture->insts.emplace_back();
     return seq;
 }
 
@@ -442,13 +441,13 @@ RuntimeEngine::markIssued(std::uint64_t seq)
     else if (f.limitedFu != noLimitedFu)
         candFuBits[f.limitedFu][word] &= keep;
     --unissuedCount;
-    offerHandOff(at(seq).nextInstance);
+    offerHandOff(f, at(seq).nextInstance);
 }
 
 void
-RuntimeEngine::offerHandOff(std::uint64_t next)
+RuntimeEngine::offerHandOff(const StaticFacts &f, std::uint64_t next)
 {
-    if (pruneVisits && next != noSeq && factsOf(next).handOffGated)
+    if (pruneVisits && f.handOffGated && next != noSeq)
         maybeCandidate(next);
 }
 
@@ -470,7 +469,7 @@ RuntimeEngine::captureOperands(std::uint64_t seq)
         // The last reader draining the producer's result may open
         // its successor instance's FU hand-off.
         if (--producer.unissuedReaders == 0)
-            offerHandOff(producer.nextInstance);
+            offerHandOff(facts[producer.staticId], producer.nextInstance);
         // Remember the latest-committing producer: it is the
         // critical data predecessor in the recorded CDFG.
         if (observer.profiler != nullptr) {
@@ -558,7 +557,7 @@ RuntimeEngine::resolveAddress(std::uint64_t seq)
     const StaticFacts &f = facts[di.staticId];
     MemState &mem = memOf(seq);
     if (source != nullptr) {
-        mem.addr = source->insts[seq].memAddr;
+        mem.addr = source->insts[seq].word;
     } else {
         unsigned ptr = f.ptrSlot();
         std::uint64_t producer = operandsOf(seq)[ptr].producer;
@@ -573,11 +572,8 @@ RuntimeEngine::resolveAddress(std::uint64_t seq)
         f.kind == opLoad ? knownLoads : knownStores;
     mem.knownIndex = static_cast<std::uint32_t>(known.size());
     known.push_back({mem.memSeq, mem.addr, mem.size, seq});
-    if (capture != nullptr) {
-        DynTraceInst &rec = capture->insts[seq];
-        rec.memAddr = mem.addr;
-        rec.memSize = mem.size;
-    }
+    if (capture != nullptr)
+        capture->insts[seq].word = mem.addr;
 }
 
 void
@@ -670,9 +666,9 @@ RuntimeEngine::issueCompute(std::uint64_t seq)
         commit(seq);
     } else {
         di.commitCycle = cycleCount + f.latency;
-        computeQueue.push_back(seq);
-        nextCommitDue = std::min(nextCommitDue, di.commitCycle);
         auto t = static_cast<std::size_t>(f.fu);
+        computeQueue.push_back({seq, di.commitCycle, t});
+        nextCommitDue = std::min(nextCommitDue, di.commitCycle);
         if (fuInflight[t]++ == 0)
             fuInflightTypes |= 1u << t;
     }
@@ -974,8 +970,8 @@ RuntimeEngine::dumpState(obs::JsonBuilder &json) const
     }
     json.endArray();
     json.beginArray("compute_queue");
-    for (std::uint64_t seq : computeQueue)
-        describe(seq);
+    for (const PendingCommit &op : computeQueue)
+        describe(op.seq);
     json.endArray();
     json.beginArray("memory_order");
     for (std::uint64_t seq = windowFront; seq < nextSeq; ++seq) {
@@ -1018,14 +1014,14 @@ RuntimeEngine::issueControl(std::uint64_t seq, const StaticFacts &f)
     } else {
         unsigned target;
         if (source != nullptr)
-            target = source->insts[seq].branchTarget;
+            target = static_cast<unsigned>(source->insts[seq].word);
         else if (f.ifFalse == noBlock || valuesOf(seq)[0].asBool())
             target = f.ifTrue;
         else
             target = f.ifFalse;
         commit(seq);
         if (capture != nullptr)
-            capture->insts[seq].branchTarget = target;
+            capture->insts[seq].word = target;
         if (cfg.blockSequentialImport && target != f.block &&
             pendingImport == noBlock) {
             // Defer the state transition until drain.
@@ -1176,17 +1172,15 @@ RuntimeEngine::cycle()
     if (cycleCount >= nextCommitDue) {
         nextCommitDue = never;
         for (std::size_t i = 0; i < computeQueue.size();) {
-            std::uint64_t seq = computeQueue[i];
-            std::uint64_t due = at(seq).commitCycle;
-            if (due <= cycleCount) {
-                auto t = static_cast<std::size_t>(factsOf(seq).fu);
-                if (--fuInflight[t] == 0)
-                    fuInflightTypes &= ~(1u << t);
-                commit(seq);
+            const PendingCommit op = computeQueue[i];
+            if (op.commitCycle <= cycleCount) {
+                if (--fuInflight[op.fu] == 0)
+                    fuInflightTypes &= ~(1u << op.fu);
+                commit(op.seq);
                 computeQueue[i] = computeQueue.back();
                 computeQueue.pop_back();
             } else {
-                nextCommitDue = std::min(nextCommitDue, due);
+                nextCommitDue = std::min(nextCommitDue, op.commitCycle);
                 ++i;
             }
         }

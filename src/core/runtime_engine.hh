@@ -544,10 +544,12 @@ class RuntimeEngine
     void markIssued(std::uint64_t seq);
 
     /**
-     * Re-offer @p next (may be noSeq) once its predecessor issued or
-     * drained its readers, if its candidacy waits for the hand-off.
+     * Re-offer @p next (may be noSeq), the next instance of the
+     * static instruction @p f describes, once its predecessor issued
+     * or drained its readers, if its candidacy waits for the
+     * hand-off.
      */
-    void offerHandOff(std::uint64_t next);
+    void offerHandOff(const StaticFacts &f, std::uint64_t next);
 
     /** Capture operand values (producers committed by now). */
     void captureOperands(std::uint64_t seq);
@@ -661,8 +663,20 @@ class RuntimeEngine
     bool inScan = false;
     ScanState scan;
 
+    /**
+     * An issued compute op waiting to commit, with what the commit
+     * walk reads of it, so a walk touches no window slot or
+     * StaticFacts for the ops that are not due.
+     */
+    struct PendingCommit
+    {
+        std::uint64_t seq;
+        std::uint64_t commitCycle;
+        std::size_t fu; ///< FuType index (occupancy statistics)
+    };
+
     /** Issued compute ops waiting to commit (swap-remove order). */
-    std::vector<std::uint64_t> computeQueue;
+    std::vector<PendingCommit> computeQueue;
     /** Earliest commitCycle in computeQueue (a lower bound). */
     std::uint64_t nextCommitDue = never;
     /** computeQueue entries per FU type (occupancy statistics). */

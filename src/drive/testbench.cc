@@ -221,6 +221,34 @@ recordRun(const ObsOptions &options, obs::RunReport report,
               options.reportOut.c_str());
 }
 
+void
+writeStatsFile(const Simulation &sim, const std::string &path)
+{
+    std::ofstream os(path);
+    if (!os)
+        fatal("could not write stats to '%s'", path.c_str());
+    sim.stats().dumpJson(os);
+}
+
+void
+writeTraceFile(Simulation &sim, const std::string &path)
+{
+    obs::TraceSink *sink = sim.traceSink();
+    if (sink != nullptr && !sink->writeChromeTraceFile(path))
+        fatal("could not write trace to '%s'", path.c_str());
+}
+
+void
+writeProfileFiles(const obs::CriticalPathReport &profile,
+                  const std::string &path)
+{
+    if (!profile.writeJsonFile(path))
+        fatal("could not write profile to '%s'", path.c_str());
+    std::string folded = path + ".folded";
+    if (!profile.writeFoldedFile(folded))
+        fatal("could not write folded stacks to '%s'", folded.c_str());
+}
+
 namespace
 {
 
@@ -413,33 +441,16 @@ runFull(const ObsOptions &options, const kernels::Kernel &kernel,
         profile = obs::analyzeCriticalPath(*sim.profilers().front().second);
     // The user explicitly asked for these files; failing to produce
     // one is an error, not a warning hidden behind the Warn flag.
-    if (artifacts && !options.profileOut.empty()) {
-        if (!profile.writeJsonFile(options.profileOut))
-            fatal("could not write profile to '%s'",
-                  options.profileOut.c_str());
-        std::string folded = options.profileOut + ".folded";
-        if (!profile.writeFoldedFile(folded))
-            fatal("could not write folded stacks to '%s'",
-                  folded.c_str());
-    }
-    if (!options.traceOut.empty()) {
-        if (obs::TraceSink *sink = sim.traceSink()) {
-            if (!sink->writeChromeTraceFile(options.traceOut))
-                fatal("could not write trace to '%s'",
-                      options.traceOut.c_str());
-        }
-    }
+    if (artifacts && !options.profileOut.empty())
+        writeProfileFiles(profile, options.profileOut);
+    if (!options.traceOut.empty())
+        writeTraceFile(sim, options.traceOut);
     if (tel != nullptr && tel->wantSimTraceCapture()) {
         if (obs::TraceSink *sink = sim.traceSink())
             tel->captureSimTrace(sink->events());
     }
-    if (artifacts && !options.statsOut.empty()) {
-        std::ofstream os(options.statsOut);
-        if (!os)
-            fatal("could not write stats to '%s'",
-                  options.statsOut.c_str());
-        sim.stats().dumpJson(os);
-    }
+    if (artifacts && !options.statsOut.empty())
+        writeStatsFile(sim, options.statsOut);
     if (tel != nullptr)
         tel->endPhase(); // StatsEmit
     if (artifacts && recordsRuns(options)) {

@@ -42,6 +42,11 @@ namespace salam::inject
 class FaultInjector;
 } // namespace salam::inject
 
+namespace salam::obs
+{
+struct CriticalPathReport;
+} // namespace salam::obs
+
 namespace salam::drive
 {
 
@@ -198,6 +203,18 @@ bool recordsRuns(const ObsOptions &options);
  */
 void recordRun(const ObsOptions &options, obs::RunReport report,
                std::vector<obs::StoreRecord> records = {});
+
+/**
+ * Write a per-run file the user asked for; each fatal()s when the
+ * file cannot be written. writeTraceFile writes @p sim's Chrome
+ * trace, a no-op while tracing is off; writeProfileFiles writes
+ * @p profile's JSON to @p path and its folded stacks beside it
+ * (@p path + ".folded").
+ */
+void writeStatsFile(const Simulation &sim, const std::string &path);
+void writeTraceFile(Simulation &sim, const std::string &path);
+void writeProfileFiles(const obs::CriticalPathReport &profile,
+                       const std::string &path);
 
 /**
  * Run @p kernel on the testbench with its kernelSpm() scratchpad.

@@ -45,7 +45,11 @@ buildReplayPrep(const StaticCdfg &cdfg, const DynTrace &trace)
     }
 
     // Walk the trace as the chain of block imports it records: the
-    // entry block, then each block its predecessor's branch names.
+    // entry block, then each block its predecessor's branch word
+    // names. The walk is what ties each seq to its static
+    // instruction: under the hashed IR, a block import is that
+    // block's instructions in order, so only the branch words (and
+    // the trace's length) can disagree with the IR.
     constexpr unsigned no_block = ~0u;
     const std::size_t n = trace.insts.size();
     unsigned block = cdfg.blockInfo(cdfg.function().entry()).id;
@@ -60,12 +64,8 @@ buildReplayPrep(const StaticCdfg &cdfg, const DynTrace &trace)
         }
         prep.maxBlockInsts = std::max(prep.maxBlockInsts, binfo.numInsts);
         for (unsigned i = 0; i < binfo.numInsts; ++i) {
-            unsigned id = binfo.firstInstId + i;
-            if (trace.insts[pos + i].staticId != id) {
-                return reject("trace/static mismatch at seq " +
-                              std::to_string(pos + i));
-            }
-            const StaticInstInfo &sinfo = cdfg.infoById(id);
+            const StaticInstInfo &sinfo =
+                cdfg.infoById(binfo.firstInstId + i);
             if (sinfo.isPhi &&
                 std::none_of(sinfo.phiIncoming.begin(),
                              sinfo.phiIncoming.end(),
@@ -87,18 +87,20 @@ buildReplayPrep(const StaticCdfg &cdfg, const DynTrace &trace)
             return prep;
         }
         const auto *br = dynamic_cast<const ir::BranchInst *>(term);
-        unsigned target = trace.insts[pos - 1].branchTarget;
-        bool successor =
-            br != nullptr && target < cdfg.numBlocks() &&
-            (cdfg.blockInfoById(target).block == br->ifTrue() ||
-             (br->isConditional() &&
-              cdfg.blockInfoById(target).block == br->ifFalse()));
+        std::uint64_t word = trace.insts[pos - 1].word;
+        const ir::BasicBlock *next =
+            word < cdfg.numBlocks()
+                ? cdfg.blockInfoById(static_cast<unsigned>(word)).block
+                : nullptr;
+        bool successor = br != nullptr && next != nullptr &&
+            (next == br->ifTrue() ||
+             (br->isConditional() && next == br->ifFalse()));
         if (!successor) {
             return reject("branch at seq " + std::to_string(pos - 1) +
                           " names no successor block");
         }
         from = block;
-        block = target;
+        block = static_cast<unsigned>(word);
     }
 }
 

@@ -99,11 +99,11 @@ struct ReplayPrep
  * Validate @p trace against @p cdfg, which may be elaborated under
  * any DeviceConfig of the same kernel. The engine imports whichever
  * block the trace names, so the check is complete: the trace must
- * carry @p cdfg's IR hash and start at the entry block; each block
- * import must list that block's instructions; each branch must name
- * one of its successors, which is where the next import starts; each
+ * carry @p cdfg's IR hash; read as a chain of whole-block imports
+ * from the entry block, each branch word must name one of the
+ * branch's successors, which is where the next import starts; each
  * phi must have an incoming edge for the traced predecessor; and the
- * trace must end with ret.
+ * trace must end with ret, at its last record.
  */
 ReplayPrep buildReplayPrep(const core::StaticCdfg &cdfg,
                            const core::DynTrace &trace);

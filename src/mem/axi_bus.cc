@@ -8,7 +8,8 @@ namespace salam::mem
 AxiLikeBus::AxiLikeBus(Simulation &sim, std::string name,
                        Tick clock_period,
                        const InterconnectConfig &config)
-    : Interconnect(sim, std::move(name), clock_period, config),
+    : Interconnect(sim, std::move(name), clock_period,
+                   InterconnectKind::AxiBus, config),
       readReq("read",
               EventFunctionWrapper([this] { pumpChannel(readReq); },
                                    this->name() + ".ar",

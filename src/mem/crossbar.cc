@@ -7,7 +7,8 @@ namespace salam::mem
 
 Crossbar::Crossbar(Simulation &sim, std::string name,
                    Tick clock_period, const InterconnectConfig &config)
-    : Interconnect(sim, std::move(name), clock_period, config),
+    : Interconnect(sim, std::move(name), clock_period,
+                   InterconnectKind::Crossbar, config),
       requestEvent([this] { pumpRequests(); },
                    this->name() + ".req", Event::defaultPri,
                    obs::HostPhase::MemoryModel),

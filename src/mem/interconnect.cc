@@ -36,10 +36,23 @@ InterconnectConfig::validate() const
     return {};
 }
 
+namespace
+{
+
+InterconnectConfig
+ofKind(InterconnectConfig config, InterconnectKind kind)
+{
+    config.kind = kind;
+    return config;
+}
+
+} // namespace
+
 Interconnect::Interconnect(Simulation &sim, std::string name,
-                           Tick clock_period,
+                           Tick clock_period, InterconnectKind kind,
                            const InterconnectConfig &config)
-    : ClockedObject(sim, std::move(name), clock_period), cfg(config)
+    : ClockedObject(sim, std::move(name), clock_period),
+      cfg(ofKind(config, kind))
 {
     std::string diag = cfg.validate();
     if (!diag.empty())

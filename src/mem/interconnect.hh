@@ -65,6 +65,10 @@ constexpr unsigned unlimitedCredits = ~0u;
  */
 struct InterconnectConfig
 {
+    /**
+     * The fabric makeInterconnect builds. A fabric constructed
+     * directly sets it to its own kind.
+     */
     InterconnectKind kind = InterconnectKind::Crossbar;
 
     /** Request forwarding latency in fabric cycles. */
@@ -137,9 +141,13 @@ class Interconnect : public ClockedObject
     std::uint64_t creditStallCount() const { return creditStalls; }
 
   protected:
-    /** fatal()s when @p config does not validate. */
+    /**
+     * @p kind is the deriving fabric's own: it replaces
+     * @p config.kind, so validation and cfg.kind always describe the
+     * fabric that exists. fatal()s when the config does not validate.
+     */
     Interconnect(Simulation &sim, std::string name, Tick clock_period,
-                 const InterconnectConfig &config);
+                 InterconnectKind kind, const InterconnectConfig &config);
 
     /** A packet waiting in a fabric queue. */
     struct Routed

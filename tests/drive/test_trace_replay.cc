@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -10,6 +11,7 @@
 #include "core/static_cdfg.hh"
 #include "drive/testbench.hh"
 #include "drive/trace_replay.hh"
+#include "ir/interpreter.hh"
 #include "kernels/machsuite.hh"
 
 using namespace salam;
@@ -169,6 +171,26 @@ toConfigs(const PointConfig &p, core::DeviceConfig &dev,
     spm.banks = p.banks;
 }
 
+/**
+ * The static instruction id of each record of @p trace, read as
+ * buildReplayPrep reads the trace: whole-block imports from the entry
+ * block, each branch word naming the next block. @p trace must have
+ * passed buildReplayPrep.
+ */
+std::vector<unsigned>
+staticIdsOf(const core::StaticCdfg &cdfg, const core::DynTrace &trace)
+{
+    std::vector<unsigned> ids;
+    unsigned block = cdfg.blockInfo(cdfg.function().entry()).id;
+    while (ids.size() < trace.insts.size()) {
+        const core::StaticBlockInfo &binfo = cdfg.blockInfoById(block);
+        for (unsigned i = 0; i < binfo.numInsts; ++i)
+            ids.push_back(binfo.firstInstId + i);
+        block = static_cast<unsigned>(trace.insts.at(ids.size() - 1).word);
+    }
+    return ids;
+}
+
 } // namespace
 
 TEST(TraceReplay, PrepBuildsCleanly)
@@ -250,25 +272,36 @@ TEST(TraceReplay, FallbackBlockers)
     EXPECT_EQ(drive::fastPathBlocker(c.trace, dev, false, false), "");
 }
 
-/** A trace that does not match the static CDFG is rejected, not
- * replayed wrong. */
+/**
+ * A trace whose length does not match the IR's block chain is
+ * rejected, not replayed wrong: a record dropped mid-trace shifts
+ * every later word off its instance, and a record appended runs past
+ * the final ret.
+ */
 TEST(TraceReplay, MismatchedTraceIsRejected)
 {
     const KernelCapture &c = captured();
-    core::DynTrace corrupt = c.trace;
-    corrupt.insts[0].staticId = 0xFFFFFFu;
+    core::DynTrace dropped = c.trace;
+    dropped.insts.erase(dropped.insts.begin() +
+                        static_cast<std::ptrdiff_t>(
+                            dropped.insts.size() / 2));
+    core::DynTrace appended = c.trace;
+    appended.insts.emplace_back();
 
     core::DeviceConfig dev;
     core::StaticCdfg cdfg(*c.fn, dev);
-    drive::ReplayPrep prep = drive::buildReplayPrep(cdfg, corrupt);
-    EXPECT_NE(prep.error, "");
-
     drive::ReplaySpmConfig spm;
     spm.rangeStart = drive::Testbench::spmBase;
-    drive::TraceReplayer replayer(cdfg, dev, corrupt, spm);
-    drive::ReplayResult res = replayer.run();
-    EXPECT_FALSE(res.ok);
-    EXPECT_NE(res.error, "");
+    for (const core::DynTrace *corrupt : {&dropped, &appended}) {
+        SCOPED_TRACE(corrupt == &dropped ? "dropped" : "appended");
+        drive::ReplayPrep prep = drive::buildReplayPrep(cdfg, *corrupt);
+        EXPECT_NE(prep.error, "");
+
+        drive::TraceReplayer replayer(cdfg, dev, *corrupt, spm);
+        drive::ReplayResult res = replayer.run();
+        EXPECT_FALSE(res.ok);
+        EXPECT_NE(res.error, "");
+    }
 }
 
 /** An empty trace cannot be replayed. */
@@ -375,8 +408,8 @@ struct GatePoint
 
 /**
  * Draw a replay configuration: memory queues 2-64, issue and SPM
- * ports 1-8, SPM latency 1-3, banks 1-4, and int/FP FU pools that
- * are dedicated or 1-4 wide.
+ * ports 1-8, SPM latency 1-3, banks 1-4, int/FP FU pools that are
+ * dedicated or 1-4 wide, and a 75-500 MHz clock.
  */
 GatePoint
 drawGatePoint(std::mt19937_64 &rng, bool block_sequential)
@@ -403,6 +436,10 @@ drawGatePoint(std::mt19937_64 &rng, bool block_sequential)
     p.spm.writePorts = pick({1, 2, 4, 8});
     p.spm.latencyCycles = pick({1, 2, 3});
     p.spm.banks = pick({1, 2, 3, 4});
+    // Drawn last: a new axis leaves the earlier axes' draws as
+    // they were.
+    unsigned mhz = pick({75, 100, 200, 333, 500});
+    p.dev.clockPeriod = periodFromMhz(mhz);
 
     std::ostringstream os;
     os << "block_seq=" << block_sequential
@@ -414,7 +451,7 @@ drawGatePoint(std::mt19937_64 &rng, bool block_sequential)
        << " spm_rports=" << p.spm.readPorts
        << " spm_wports=" << p.spm.writePorts
        << " spm_lat=" << p.spm.latencyCycles
-       << " banks=" << p.spm.banks;
+       << " banks=" << p.spm.banks << " clock_mhz=" << mhz;
     p.text = os.str();
     return p;
 }
@@ -473,6 +510,68 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /**
+ * The capture's words themselves, not only the schedules replayed
+ * from them: for every gate kernel, the load and store words in seq
+ * order are the interpreter's access addresses in execution order,
+ * and the branch words are the interpreter's block sequence. A wrong
+ * address that kept every bank and overlap outcome would pass the
+ * identity gate, but not this.
+ */
+TEST(TraceReplay, CaptureWordsMatchTheInterpreter)
+{
+    for (const char *name : gateKernels) {
+        SCOPED_TRACE(name);
+        auto c = captureKernel(makeGateKernel(name), false);
+        ASSERT_EQ(c->prep->error, "");
+        core::DeviceConfig dev;
+        core::StaticCdfg cdfg(*c->fn, dev);
+
+        std::vector<std::uint64_t> addrs;
+        std::vector<unsigned> blocks;
+        ir::FlatMemory mem;
+        c->kernel->seed(mem, drive::Testbench::spmBase);
+        ir::Interpreter interp(mem);
+        interp.setObserver([&](const ir::ExecRecord &rec) {
+            if (rec.inst->opcode() == ir::Opcode::Load ||
+                rec.inst->opcode() == ir::Opcode::Store)
+                addrs.push_back(rec.memAddr);
+            if (rec.inst == rec.block->instruction(0))
+                blocks.push_back(cdfg.blockInfo(rec.block).id);
+        });
+        interp.run(*c->fn, c->kernel->args(drive::Testbench::spmBase));
+
+        std::vector<std::uint64_t> trace_addrs;
+        std::vector<unsigned> trace_blocks{
+            cdfg.blockInfo(c->fn->entry()).id};
+        const std::vector<unsigned> ids = staticIdsOf(cdfg, c->trace);
+        for (std::size_t seq = 0; seq < ids.size(); ++seq) {
+            ir::Opcode op = cdfg.infoById(ids[seq]).inst->opcode();
+            std::uint64_t word = c->trace.insts[seq].word;
+            if (op == ir::Opcode::Load || op == ir::Opcode::Store)
+                trace_addrs.push_back(word);
+            else if (op == ir::Opcode::Br)
+                trace_blocks.push_back(static_cast<unsigned>(word));
+        }
+
+        ASSERT_FALSE(addrs.empty());
+        EXPECT_EQ(trace_addrs.size(), addrs.size());
+        auto access = std::mismatch(trace_addrs.begin(),
+                                    trace_addrs.end(), addrs.begin(),
+                                    addrs.end());
+        EXPECT_TRUE(access.first == trace_addrs.end())
+            << "first differing access: #"
+            << access.first - trace_addrs.begin();
+        EXPECT_EQ(trace_blocks.size(), blocks.size());
+        auto block = std::mismatch(trace_blocks.begin(),
+                                   trace_blocks.end(), blocks.begin(),
+                                   blocks.end());
+        EXPECT_TRUE(block.first == trace_blocks.end())
+            << "first differing block import: #"
+            << block.first - trace_blocks.begin();
+    }
+}
+
+/**
  * Directed: with a full reservation window, the branch still holds
  * its slot while it imports its successor block, so the import waits
  * one more cycle. Replaying md-knn at deep memory queues, a slow
@@ -525,18 +624,19 @@ TEST(TraceReplay, BranchTargetMustNameTheNextBlock)
     core::DeviceConfig dev;
     core::StaticCdfg cdfg(*c.fn, dev);
     core::DynTrace flipped = c.trace;
+    const std::vector<unsigned> ids = staticIdsOf(cdfg, c.trace);
     unsigned conditional = 0;
     bool done = false;
-    for (core::DynTraceInst &rec : flipped.insts) {
+    for (std::size_t seq = 0; seq < ids.size(); ++seq) {
         const auto *br = dynamic_cast<const ir::BranchInst *>(
-            cdfg.infoById(rec.staticId).inst);
+            cdfg.infoById(ids[seq]).inst);
         if (br == nullptr || !br->isConditional() || ++conditional < 10)
             continue;
         unsigned if_true = cdfg.blockInfo(br->ifTrue()).id;
         unsigned if_false = cdfg.blockInfo(br->ifFalse()).id;
         ASSERT_NE(if_true, if_false);
-        rec.branchTarget = rec.branchTarget == if_true ? if_false
-                                                       : if_true;
+        std::uint64_t &word = flipped.insts[seq].word;
+        word = word == if_true ? if_false : if_true;
         done = true;
         break;
     }

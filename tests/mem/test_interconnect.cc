@@ -189,6 +189,24 @@ TEST(AxiLikeBus, UnroutableAddressPanics)
 }
 
 /**
+ * A bus validates as a bus whatever kind its config names: built
+ * directly with the default (crossbar) kind and a 0-byte beat, it
+ * must refuse the config at construction, not divide by the width at
+ * its first request.
+ */
+TEST(AxiLikeBus, ZeroBeatWidthIsFatalWhateverTheConfigKind)
+{
+    InterconnectConfig cfg;
+    cfg.busWidthBytes = 0;
+    EXPECT_DEATH(
+        {
+            Simulation sim;
+            sim.create<AxiLikeBus>("bus", 10, cfg);
+        },
+        "beat width");
+}
+
+/**
  * Single-beat timing on both fabrics, same scenario: a wide bus
  * with unlimited credits must be cycle-identical to the crossbar —
  * the degenerate-equivalence property check.sh A/Bs on fig10.
