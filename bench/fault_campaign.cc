@@ -7,7 +7,7 @@
  * injection site class is exercised: scratchpad and DRAM responses,
  * crossbar retries, DMA bursts, accelerator done-interrupts, and the
  * host's interrupt waits. scripts/check.sh invokes this binary once
- * per fault kind and asserts the exit code, the run-report outcome,
+ * per fault kind and asserts the exit code, the run record's outcome,
  * and (for hangs) that the state dump names the stuck component.
  *
  * Inputs are strictly positive so ReLU is the identity function: any
@@ -15,7 +15,7 @@
  * is caught by the exact golden comparison.
  *
  *   fault_campaign [--inject <spec>]... [--inject-seed N]
- *                  [--watchdog T] [--dump-out F] [--report-out F] ...
+ *                  [--watchdog T] [--dump-out F] [--store-out D] ...
  */
 
 #include <cmath>

@@ -279,10 +279,9 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(t_shared),
                 static_cast<unsigned long long>(t_stream));
 
-    // --report-out/--store-out: one record per fabric
-    // configuration, queryable with salam-query (the configHash
-    // distinguishes fabric knobs, so xbar vs narrow-axi runs land as
-    // separate records).
+    // --store-out: one record per fabric configuration, queryable
+    // with salam-query (the configHash distinguishes fabric knobs, so
+    // xbar vs narrow-axi runs land as separate records).
     if (recordsRuns(options)) {
         obs::RunReport report;
         report.run = "fig16-contention";

@@ -15,17 +15,21 @@
  * Observability (both optional):
  *   --trace-out <file>   write a Chrome trace_event JSON trace
  *                        (load it at https://ui.perfetto.dev)
- *   --report-out <file>  append a machine-readable run report
+ *   --store-out <dir>    append a run record to a result store
+ *                        (inspect it with salam-query)
  */
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <string>
 
 #include "core/compute_unit.hh"
 #include "core/power_report.hh"
 #include "ir/ir_builder.hh"
 #include "mem/backdoor.hh"
 #include "mem/scratchpad.hh"
+#include "obs/result_store.hh"
 #include "obs/run_report.hh"
 #include "opt/pass_manager.hh"
 #include "sim/simulation.hh"
@@ -36,16 +40,16 @@ int
 main(int argc, char **argv)
 {
     const char *trace_out = nullptr;
-    const char *report_out = nullptr;
+    const char *store_out = nullptr;
     for (int k = 1; k < argc; ++k) {
         if (std::strcmp(argv[k], "--trace-out") == 0 && k + 1 < argc)
             trace_out = argv[++k];
-        else if (std::strcmp(argv[k], "--report-out") == 0 &&
+        else if (std::strcmp(argv[k], "--store-out") == 0 &&
                  k + 1 < argc)
-            report_out = argv[++k];
+            store_out = argv[++k];
         else
             fatal("usage: quickstart [--trace-out FILE] "
-                  "[--report-out FILE]");
+                  "[--store-out DIR]");
     }
     // ---- 1. The kernel: y[i] = a * x[i] + y[i] over 64 doubles.
     ir::Module mod("quickstart");
@@ -154,7 +158,7 @@ main(int argc, char **argv)
         std::printf("trace:         %s (%zu events)\n", trace_out,
                     sink->size());
     }
-    if (report_out != nullptr) {
+    if (store_out != nullptr) {
         obs::RunReport run_report;
         run_report.run = "quickstart.daxpy";
         for (int k = 0; k < argc; ++k) {
@@ -173,9 +177,15 @@ main(int argc, char **argv)
              static_cast<double>(spm.writeCount())},
         };
         run_report.statsJson = sim.stats().dumpJsonString();
-        if (!run_report.appendToFile(report_out))
-            fatal("could not append run report to '%s'", report_out);
-        std::printf("run report:    %s\n", report_out);
+        std::string error;
+        std::unique_ptr<obs::ResultStore> store =
+            obs::ResultStore::open(store_out, &error);
+        if (!store)
+            fatal("--store-out: %s", error.c_str());
+        store->appendRunReport(run_report, "quickstart");
+        if (!store->flush())
+            fatal("could not append a run record to '%s'", store_out);
+        std::printf("run record:    %s\n", store_out);
     }
     return ok ? 0 : 1;
 }

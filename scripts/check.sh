@@ -69,7 +69,7 @@ run_campaign() {
     shift 2
     local args=(--watchdog 2000000
                 --dump-out "${camp_dir}/${tag}.dump.json"
-                --report-out "${camp_dir}/${tag}.jsonl")
+                --store-out "${camp_dir}/${tag}.store")
     for spec in "$@"; do
         args+=(--inject "${spec}")
     done
@@ -95,14 +95,28 @@ run_campaign dma_stall      0 "dma_stall@dma:nth=1:delay=500000"
 run_campaign fabric_retry_storm 0 "retry_storm@c0.xbar:nth=5:count=10" \
     "retry_storm@global_xbar:nth=5:count=10"
 
+# Read each scenario's records back through salam-query.
+camp_tags=(clean bit_flip drop_response drop_irq spurious_irq
+           retry_storm delay_response dma_stall fabric_retry_storm)
+for tag in "${camp_tags[@]}"; do
+    for kind in run injection; do
+        "${build_dir}/src/tools/salam-query" list \
+            "${camp_dir}/${tag}.store" --kind "${kind}" --json \
+            >"${camp_dir}/${tag}.${kind}.json"
+    done
+done
+
 python3 - "${camp_dir}" <<'PYEOF'
-import json, sys
+import json, re, sys
 d = sys.argv[1]
 
+def records(tag, kind):
+    return json.load(open(f"{d}/{tag}.{kind}.json"))
+
 def outcome(tag):
-    rows = [json.loads(line) for line in open(f"{d}/{tag}.jsonl")]
-    assert rows, f"{tag}: empty run report"
-    return rows[-1]["outcome"]
+    rows = records(tag, "run")
+    assert len(rows) == 1, f"{tag}: {len(rows)} run records, not 1"
+    return rows[0]["outcome"]
 
 expected = {
     "clean": "ok", "bit_flip": "fault", "drop_response": "deadlock",
@@ -113,6 +127,23 @@ expected = {
 for tag, want in expected.items():
     got = outcome(tag)
     assert got == want, f"{tag}: outcome {got!r}, expected {want!r}"
+
+# A run that ends ok records one kind="injection" record per fault
+# the bench reports as fired (the log line is absent without
+# --inject, and the summary line always carries the count).
+for tag, want in expected.items():
+    if want != "ok":
+        continue
+    out = open(f"{d}/{tag}.out").read()
+    log = re.search(r"^injections fired: (\d+)$", out, re.M)
+    summary = re.search(r"(\d+) injections fired$", out, re.M)
+    assert summary, f"{tag}: no summary line"
+    fired = int(summary.group(1))
+    assert fired == (int(log.group(1)) if log else 0), \
+        f"{tag}: the injection log and the summary disagree"
+    got = len(records(tag, "injection"))
+    assert got == fired, \
+        f"{tag}: {got} injection records, {fired} injections fired"
 
 # Hang dumps must name the component that is actually stuck.
 for tag, stuck in (("drop_response", "c0.relu"), ("drop_irq", "host")):
@@ -196,7 +227,7 @@ if c++ ${tsan_flags} -o "${smoke_dir}/tsan_probe" \
         --gtest_filter='SimContext*'
     TSAN_OPTIONS=halt_on_error=1 \
         "${tsan_dir}/tests/obs/obs_test" \
-        --gtest_filter='StoreTest*:ReportBufferTest*'
+        --gtest_filter='StoreTest*'
     TSAN_OPTIONS=halt_on_error=1 \
         "${tsan_dir}/bench/fig13_gemm_pareto" --sweep-threads 4 \
         --store-out "${smoke_dir}/tsan_store" \
@@ -453,37 +484,37 @@ print("interconnect auto-fallback gate ok: 9 paired points, "
       "0 changed")
 PYEOF
 
-echo "== per-run outputs: fast-mode artifacts, fig16 report"
+echo "== per-run outputs: fast-mode artifacts, fig16 record"
 # A per-run artifact blocks the fast path: the points fall back to
 # full simulation and the stats file the user asked for is written.
 "${perf_dir}/bench/fig13_gemm_pareto" --fu-limits 8 --sim-mode fast \
     --stats-out "${smoke_dir}/fast_stats.json" \
     >"${smoke_dir}/fast_stats.out" 2>&1
-# fig16 sends its record through the recorder, which also writes
-# the --report-out line, and writes each per-run file once per
-# scenario (the option's path + ".<scenario>.json").
+# fig16 sends its record through the recorder into the store, and
+# writes each per-run file once per scenario (the option's path +
+# ".<scenario>.json").
 "${perf_dir}/bench/fig16_multi_accelerator" \
-    --report-out "${smoke_dir}/fig16_report.jsonl" \
+    --store-out "${smoke_dir}/fig16_store" \
     --stats-out "${smoke_dir}/fig16_stats.json" \
     --trace-out "${smoke_dir}/fig16_trace.json" >/dev/null
+"${salam_query}" list "${smoke_dir}/fig16_store" --kind run --json \
+    >"${smoke_dir}/fig16_runs.json"
 python3 - "${smoke_dir}" <<'PYEOF'
 import json, os, sys
 d = sys.argv[1]
 stats = f"{d}/fast_stats.json"
 assert os.path.exists(stats), "--sim-mode fast wrote no --stats-out file"
 json.load(open(stats))
-report = f"{d}/fig16_report.jsonl"
-assert os.path.exists(report), "fig16 wrote no --report-out file"
-lines = open(report).read().splitlines()
-assert len(lines) == 1, f"fig16 report has {len(lines)} lines, not 1"
-assert json.loads(lines[0])["run"] == "fig16-contention", lines[0]
+runs = json.load(open(f"{d}/fig16_runs.json"))
+assert len(runs) == 1, f"fig16 store has {len(runs)} run records, not 1"
+assert runs[0]["kernel"] == "fig16-contention", runs[0]
 for kind in ("stats", "trace"):
     for scenario in ("private", "shared", "stream"):
         path = f"{d}/fig16_{kind}.json.{scenario}.json"
         assert os.path.exists(path), f"fig16 wrote no {path}"
         json.load(open(path))
-print("per-run outputs ok: fast-mode stats JSON, one fig16 report "
-      "line, fig16 stats and trace JSON for all three scenarios")
+print("per-run outputs ok: fast-mode stats JSON, one fig16 run "
+      "record, fig16 stats and trace JSON for all three scenarios")
 PYEOF
 
 echo "== robustness: kill-and-resume, timeouts, retry records"

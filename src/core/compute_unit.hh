@@ -12,8 +12,6 @@
 #ifndef SALAM_CORE_COMPUTE_UNIT_HH
 #define SALAM_CORE_COMPUTE_UNIT_HH
 
-#include <functional>
-
 #include "comm_interface.hh"
 #include "runtime_engine.hh"
 #include "sim/sim_object.hh"
@@ -52,10 +50,6 @@ class ComputeUnit : public ClockedObject, private EngineClient
      */
     void startFromMmrs();
 
-    /** Completion hook (in addition to CommInterface::signalDone). */
-    void setDoneCallback(std::function<void()> callback)
-    { onDone = std::move(callback); }
-
     bool finished() const { return engine.finished(); }
 
     bool running() const { return engine.running(); }
@@ -77,8 +71,6 @@ class ComputeUnit : public ClockedObject, private EngineClient
 
     const DeviceConfig &deviceConfig() const { return cfg; }
 
-    CommInterface &commInterface() { return comm; }
-
     void dumpDiagnostics(obs::JsonBuilder &json) const override;
 
     std::string stuckReason() const override;
@@ -94,12 +86,7 @@ class ComputeUnit : public ClockedObject, private EngineClient
 
     void engineRequestTick() override { requestTick(); }
 
-    void engineDone() override
-    {
-        comm.signalDone();
-        if (onDone)
-            onDone();
-    }
+    void engineDone() override { comm.signalDone(); }
 
     DeviceConfig cfg;
     StaticCdfg staticCdfg;
@@ -107,7 +94,6 @@ class ComputeUnit : public ClockedObject, private EngineClient
     RuntimeEngine engine;
     EventFunctionWrapper tickEvent;
     Tick lastCycleTick = maxTick;
-    std::function<void()> onDone;
     /** Commit count at the last tick (progress detection). */
     std::uint64_t lastCommitted = 0;
 };

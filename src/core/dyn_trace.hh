@@ -32,7 +32,6 @@
 #define SALAM_CORE_DYN_TRACE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace salam::ir
@@ -64,14 +63,6 @@ static_assert(sizeof(DynTraceInst) == 8,
 struct DynTrace
 {
     /**
-     * Caller-assigned identity of the (kernel variant, input) pair.
-     * Kernel::name() alone is NOT enough — e.g. every GEMM unroll
-     * variant is named "gemm" — so the capturing bench must key the
-     * trace on everything that changes the IR or the seeded input.
-     */
-    std::string kernelKey;
-
-    /**
      * DeviceConfig::blockSequentialImport at capture time. The one
      * scheduling knob that changes which dynamic instances exist
      * (FSM-style drain points alter import timing but, more to the
@@ -79,9 +70,6 @@ struct DynTrace
      * semantics to honour) — a mismatch forces full simulation.
      */
     bool capturedBlockSequential = false;
-
-    /** runConfigHash of the capturing run (informational). */
-    std::uint64_t sourceConfigHash = 0;
 
     /** irHashOf() the captured function (stamped at capture). */
     std::uint64_t irHash = 0;

@@ -244,8 +244,8 @@ class RuntimeEngine
      * dyn_trace.hh): one record per dynamic instance, with branch
      * outcomes and resolved addresses filled in as the run decides
      * them. Attach before start(); pass nullptr to detach. The
-     * engine only appends — identity fields (kernelKey, ...) are the
-     * caller's.
+     * engine only appends — the stamp fields (irHash,
+     * capturedBlockSequential) are the caller's.
      */
     void setTraceCapture(DynTrace *trace) { capture = trace; }
 

@@ -41,7 +41,7 @@ printOptionTable(const OptionList &table)
 namespace
 {
 
-/** The "--trace-out, --report-out, ..., or --help" error listing. */
+/** The "--trace-out, --stats-out, ..., or --help" error listing. */
 std::string
 knownOptionListing(const OptionList &table)
 {
@@ -153,9 +153,6 @@ sharedBenchOptions(ObsOptions &o)
         {"--trace-out", "<file>",
          "write a Chrome trace_event JSON trace (last run wins)",
          [&o](const std::string &v) { o.traceOut = v; }, true},
-        {"--report-out", "<file>",
-         "append one RunReport JSON line per run",
-         [&o](const std::string &v) { o.reportOut = v; }, true},
         {"--stats-out", "<file>",
          "write the statistics dump as JSON (last run wins)",
          [&o](const std::string &v) { o.statsOut = v; }, true},

@@ -128,9 +128,6 @@ struct ObsOptions
     /** Chrome trace_event JSON path; the last run's trace wins. */
     std::string traceOut;
 
-    /** RunReport JSONL path; one line appended per run. */
-    std::string reportOut;
-
     /** StatRegistry::dumpJson path; the last run's stats win. */
     std::string statsOut;
 

@@ -12,7 +12,6 @@
 
 #include "obs/json.hh"
 #include "obs/result_store.hh"
-#include "obs/run_report.hh"
 #include "sim/logging.hh"
 #include "sim/sim_context.hh"
 
@@ -278,10 +277,6 @@ SweepRunner::run(std::size_t num_points, const PointFn &fn)
     auto worker = [&] {
         const unsigned wid =
             worker_ids.fetch_add(1, std::memory_order_relaxed);
-        // All RunReport appends from this worker's points buffer
-        // here and hit the filesystem once, when the worker drains —
-        // the per-point lock-during-I/O bottleneck is gone.
-        obs::ReportBuffer report_buffer;
         for (;;) {
             // Shutdown drain: stop dequeuing; points never picked up
             // keep the default outcome "skipped" and re-run on the
@@ -332,7 +327,6 @@ SweepRunner::run(std::size_t num_points, const PointFn &fn)
                 SimContext ctx;
                 ctx.setFlagMask(flag_mask);
                 ctx.setFatalMode(SimContext::FatalMode::Throw);
-                ctx.setReportSink(&report_buffer);
                 ctx.setSweepPointIndex(static_cast<long>(idx));
                 ctx.setCancelFlag(&g_cancel);
                 if (opts.pointTimeoutSeconds > 0.0)
@@ -422,8 +416,6 @@ SweepRunner::run(std::size_t num_points, const PointFn &fn)
                          idx);
             }
         }
-        if (!report_buffer.flush())
-            warn("sweep worker %u: report-buffer flush failed", wid);
     };
 
     auto sweep_t0 = clock::now();

@@ -30,7 +30,7 @@
  *    ResultStore — outcome "cached" — so a killed sweep restarted
  *    with the same grid finishes only the remaining work;
  *  - graceful shutdown: SIGINT/SIGTERM drain in-flight points, flush
- *    buffers and the store, and the bench exits with
+ *    the store, and the bench exits with
  *    interruptedExitCode; a second signal cancels in-flight points
  *    too (outcome "skipped", re-run by the next resume).
  */
@@ -104,7 +104,7 @@ struct SweepPointTimeline
     std::uint64_t setupEndNs = 0; ///< SimContext bound, fn starting
     std::uint64_t runEndNs = 0;   ///< fn returned or threw
     std::uint64_t endNs = 0;      ///< result recorded, context gone
-    /** ReportIo self time inside the point (file-append span). */
+    /** ReportIo self time inside the point (run-record appends). */
     std::uint64_t reportIoNs = 0;
 };
 
@@ -217,8 +217,8 @@ class SweepRunner
         unsigned retryBackoffMs = 50;
 
         /**
-         * Checkpoint/resume: a ResultStore path (directory or bare
-         * JSONL) whose ok records mark points as already done. A
+         * Checkpoint/resume: a ResultStore path (directory or one
+         * record file) whose ok records mark points as already done. A
          * point whose pointHash (or, without a hash callback, whose
          * (storeName, index) pair) matches an ok kind="run" or
          * kind="sweep_point" record is skipped with outcome

@@ -197,28 +197,23 @@ installTerminationHook(const ObsOptions &options, Simulation &sim,
 bool
 recordsRuns(const ObsOptions &options)
 {
-    return !options.reportOut.empty() || !options.storeOut.empty();
+    return !options.storeOut.empty();
 }
 
 void
 recordRun(const ObsOptions &options, obs::RunReport report,
           std::vector<obs::StoreRecord> records)
 {
+    obs::ResultStore *store = resultStore(options);
+    if (store == nullptr)
+        return;
+    obs::ScopedHostPhase phase(obs::HostPhase::ReportIo);
     report.commandLine = options.commandLine;
-    // Queue the store records first: when the report file cannot be
-    // written, the fatal() below (or a second one inside the
-    // termination hook) must not cost the store its record.
-    if (obs::ResultStore *store = resultStore(options)) {
-        store->appendRunReport(report, options.benchName);
-        for (obs::StoreRecord &rec : records) {
-            rec.bench = options.benchName;
-            store->append(std::move(rec));
-        }
+    store->appendRunReport(report, options.benchName);
+    for (obs::StoreRecord &rec : records) {
+        rec.bench = options.benchName;
+        store->append(std::move(rec));
     }
-    if (!options.reportOut.empty() &&
-        !report.appendToFile(options.reportOut))
-        fatal("could not append run report to '%s'",
-              options.reportOut.c_str());
 }
 
 void
@@ -310,20 +305,12 @@ pointReport(const kernels::Kernel &kernel, const core::DeviceConfig &dev,
     return report;
 }
 
-/**
- * runSalam(); with @p capture non-null, also record the run's
- * dynamic trace there. A capture run is internal: it writes no
- * traces, stats or profile files and no run records, so it neither
- * pollutes the experiment's outputs nor pairs up in `salam-query
- * diff`.
- */
+/** runSalam(): one full simulation of @p kernel, with its outputs. */
 BenchRun
 runFull(const ObsOptions &options, const kernels::Kernel &kernel,
-        const core::DeviceConfig &dev, const BenchMemory &memcfg,
-        core::DynTrace *capture)
+        const core::DeviceConfig &dev, const BenchMemory &memcfg)
 {
     using clock = std::chrono::steady_clock;
-    const bool artifacts = capture == nullptr;
     BenchRun out;
 
     // Host telemetry (if attached to this thread's context) spans
@@ -345,29 +332,23 @@ runFull(const ObsOptions &options, const kernels::Kernel &kernel,
         makeFaultInjector(options, sim);
     ScopedTerminationHook flush_on_fatal =
         installTerminationHook(options, sim, kernel.name());
-    if (artifacts) {
-        if (!options.traceOut.empty())
-            sim.enableTracing();
-        // A sweep may ask one representative point to capture its
-        // simulated-time trace for the host-telemetry Chrome dump.
-        if (tel != nullptr && tel->wantSimTraceCapture())
-            sim.enableTracing();
-        if (!options.profileOut.empty() ||
-            obs::flag::Profile.enabled()) {
-            sim.enableProfiling();
-        }
-    }
+    if (!options.traceOut.empty())
+        sim.enableTracing();
+    // A sweep may ask one representative point to capture its
+    // simulated-time trace for the host-telemetry Chrome dump.
+    if (tel != nullptr && tel->wantSimTraceCapture())
+        sim.enableTracing();
+    if (!options.profileOut.empty() || obs::flag::Profile.enabled())
+        sim.enableProfiling();
     tb.build(*fn, dev, Testbench::kernelSpm(kernel, memcfg),
              memcfg.useInterconnect ? &memcfg.interconnect : nullptr);
     core::ComputeUnit &cu = *tb.cu;
-    if (capture != nullptr)
-        cu.enableTraceCapture(capture);
 
     mem::ScratchpadBackdoor backdoor(*tb.spm);
     kernel.seed(backdoor, Testbench::spmBase);
 
     std::unique_ptr<obs::IntervalStats> intervals;
-    if (artifacts && options.statsInterval > 0) {
+    if (options.statsInterval > 0) {
         obs::IntervalStats::Config icfg;
         icfg.intervalTicks =
             options.statsInterval * static_cast<Tick>(dev.clockPeriod);
@@ -420,11 +401,6 @@ runFull(const ObsOptions &options, const kernels::Kernel &kernel,
     out.report = core::buildReport(cu, tb.spm);
     out.spmReads = tb.spm->readCount();
     out.spmWrites = tb.spm->writeCount();
-    if (capture != nullptr) {
-        capture->capturedBlockSequential = dev.blockSequentialImport;
-        capture->sourceConfigHash =
-            runConfigHash(kernel.name(), dev, memcfg);
-    }
     out.compileSeconds = std::chrono::duration<double>(t1 - t0).count();
     out.simulateSeconds =
         std::chrono::duration<double>(t3 - t2).count();
@@ -441,7 +417,7 @@ runFull(const ObsOptions &options, const kernels::Kernel &kernel,
         profile = obs::analyzeCriticalPath(*sim.profilers().front().second);
     // The user explicitly asked for these files; failing to produce
     // one is an error, not a warning hidden behind the Warn flag.
-    if (artifacts && !options.profileOut.empty())
+    if (!options.profileOut.empty())
         writeProfileFiles(profile, options.profileOut);
     if (!options.traceOut.empty())
         writeTraceFile(sim, options.traceOut);
@@ -449,11 +425,11 @@ runFull(const ObsOptions &options, const kernels::Kernel &kernel,
         if (obs::TraceSink *sink = sim.traceSink())
             tel->captureSimTrace(sink->events());
     }
-    if (artifacts && !options.statsOut.empty())
+    if (!options.statsOut.empty())
         writeStatsFile(sim, options.statsOut);
     if (tel != nullptr)
         tel->endPhase(); // StatsEmit
-    if (artifacts && recordsRuns(options)) {
+    if (recordsRuns(options)) {
         obs::RunReport report = pointReport(kernel, dev, memcfg, out);
         if (injector) {
             report.extra.push_back(
@@ -482,8 +458,8 @@ runFull(const ObsOptions &options, const kernels::Kernel &kernel,
     // Single-run telemetry dump (last run wins). Sweep workers run
     // under per-point telemetry, not the main object, so a pool
     // never races on this file — the sweep writes its own summary.
-    if (artifacts && !options.hostTelemetryOut.empty() &&
-        tel != nullptr && tel == &mainHostTelemetry()) {
+    if (!options.hostTelemetryOut.empty() && tel != nullptr &&
+        tel == &mainHostTelemetry()) {
         std::ofstream os(options.hostTelemetryOut);
         if (!os)
             fatal("could not write host telemetry to '%s'",
@@ -520,7 +496,7 @@ runReplay(const ObsOptions &options, const kernels::Kernel &kernel,
         warn("trace replay failed (%s); falling back to full "
              "simulation",
              res.error.c_str());
-        BenchRun full = runFull(options, kernel, dev, memcfg, nullptr);
+        BenchRun full = runFull(options, kernel, dev, memcfg);
         full.simMode = "full-fallback";
         full.fallbackReason = res.error;
         return full;
@@ -575,12 +551,11 @@ BenchRun
 runSalam(const ObsOptions &options, const kernels::Kernel &kernel,
          const core::DeviceConfig &dev, const BenchMemory &memcfg)
 {
-    return runFull(options, kernel, dev, memcfg, nullptr);
+    return runFull(options, kernel, dev, memcfg);
 }
 
 TraceCache::Entry
-captureTraceEntry(const ObsOptions &options,
-                  const kernels::Kernel &kernel,
+captureTraceEntry(const kernels::Kernel &kernel,
                   const core::DeviceConfig &dev)
 {
     using clock = std::chrono::steady_clock;
@@ -596,23 +571,33 @@ captureTraceEntry(const ObsOptions &options,
     BenchMemory capmem;
     capmem.spmReadPorts = 64;
     capmem.spmWritePorts = 64;
-    runFull(options, kernel, cap, capmem, &entry.trace);
 
-    // The replays' static CDFG is rebuilt per point from this IR
-    // (FU binding and latency tables depend on the point's
-    // DeviceConfig); kernel IR construction is deterministic, so
-    // its static ids match the capture run's.
+    // The capture runs on the IR the replays share; each replay
+    // elaborates its own static CDFG from it, because FU binding and
+    // latency tables depend on the point's DeviceConfig.
+    obs::HostTelemetry *tel = SimContext::current().hostTelemetry();
+    if (tel != nullptr)
+        tel->beginPhase(obs::HostPhase::Elaboration);
     auto mod = std::make_shared<ir::Module>("replay");
     ir::IRBuilder builder(*mod);
     entry.fn = kernel.buildOptimized(builder);
     entry.holder = mod;
+    Testbench tb(*entry.fn, cap, Testbench::kernelSpm(kernel, capmem));
+    tb.cu->enableTraceCapture(&entry.trace);
+    if (tel != nullptr)
+        tel->endPhase(); // Elaboration
 
-    // Validate the trace against this IR once here and share the
-    // result with every replay; the check is config-independent, so
-    // any elaboration of the IR works for it.
-    core::StaticCdfg prep_cdfg(*entry.fn, cap);
+    std::string failure = tb.runKernel(kernel);
+    if (!failure.empty())
+        fatal("bench: %s wrong result: %s", kernel.name().c_str(),
+              failure.c_str());
+    entry.trace.capturedBlockSequential = dev.blockSequentialImport;
+
+    // Validate the trace once here and share the result with every
+    // replay; the check is config-independent, so the capture's own
+    // elaboration serves.
     entry.prep = std::make_shared<const ReplayPrep>(
-        buildReplayPrep(prep_cdfg, entry.trace));
+        buildReplayPrep(tb.cu->cdfg(), entry.trace));
 
     entry.captureSeconds =
         std::chrono::duration<double>(clock::now() - t0).count();
@@ -651,7 +636,7 @@ runSalamMode(const ObsOptions &options, const kernels::Kernel &kernel,
     } else {
         entry = traceCache().getOrBuild(
             kernel.name() + "|" + trace_key,
-            [&] { return captureTraceEntry(options, kernel, dev); });
+            [&] { return captureTraceEntry(kernel, dev); });
         blocker = fastPathBlocker(entry->trace, dev, false,
                                   memcfg.useInterconnect);
     }

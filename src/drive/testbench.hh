@@ -9,8 +9,8 @@
  * the way every experiment does — seed, run, golden check, power and
  * area report, per-run artifacts — and runSalamMode() applies the
  * --sim-mode policy, serving a point from the trace-reuse fast path
- * when that is sound. recordRun() is the one writer of --report-out
- * lines and --store-out run records.
+ * when that is sound. recordRun() is the one writer of run records:
+ * it appends them to the --store-out result store.
  *
  * Every function takes the bench's ObsOptions as an argument; none
  * reads process-global options.
@@ -191,15 +191,14 @@ ScopedTerminationHook installTerminationHook(const ObsOptions &options,
                                              Simulation &sim,
                                              std::string run_name);
 
-/** Whether @p options ask for run records (report file or store). */
+/** Whether @p options ask for run records (a --store-out store). */
 bool recordsRuns(const ObsOptions &options);
 
 /**
- * Record one run: append @p report as a line to --report-out and, with
- * @p records (profile or injection records), to the --store-out
- * store. Stamps the command line and the bench name; a no-op when
- * neither output was asked for. fatal()s when the report file cannot
- * be appended — the user asked for it.
+ * Record one run: append @p report as a kind="run" record, and
+ * @p records (profile or injection records) after it, to the
+ * --store-out store, under the ReportIo host phase. Stamps the
+ * command line and the bench name; a no-op without a store.
  */
 void recordRun(const ObsOptions &options, obs::RunReport report,
                std::vector<obs::StoreRecord> records = {});
@@ -227,15 +226,16 @@ BenchRun runSalam(const ObsOptions &options,
                   const BenchMemory &memcfg = {});
 
 /**
- * Capture @p kernel's dynamic trace plus the IR the replays will
- * re-schedule. The capture run uses the cheapest sound
- * configuration — dedicated FUs and wide memory minimize its cycle
- * count — while matching @p dev's block-sequential import regime,
- * the one knob that must agree between capture and replay. It writes
- * no artifacts.
+ * Build @p kernel's IR once, capture its dynamic trace on that IR,
+ * and validate the trace for the replays that will re-schedule it.
+ * The capture run uses the cheapest sound configuration — dedicated
+ * FUs and wide memory minimize its cycle count — while matching
+ * @p dev's block-sequential import regime, the one knob that must
+ * agree between capture and replay. It is internal: it writes no
+ * artifacts or records and arms no watchdog. fatal()s on a wrong
+ * result.
  */
-TraceCache::Entry captureTraceEntry(const ObsOptions &options,
-                                    const kernels::Kernel &kernel,
+TraceCache::Entry captureTraceEntry(const kernels::Kernel &kernel,
                                     const core::DeviceConfig &dev);
 
 /** The replay's model of the scratchpad @p spm. */

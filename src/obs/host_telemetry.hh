@@ -60,7 +60,7 @@ enum class HostPhase : unsigned
     MemoryModel,    ///< SPM/cache/xbar/DRAM/DMA/comm event handlers
     EventLoop,      ///< queue bookkeeping + unclassified events
     StatsEmit,      ///< stats dumps, trace export, profiler reports
-    ReportIo,       ///< RunReport / aggregate-JSON file appends
+    ReportIo,       ///< run records appended to the result store
     Other,          ///< host CPU model, watchdog, miscellaneous
 };
 

@@ -174,15 +174,6 @@ class JsonBuilder
         return *this;
     }
 
-    /** Splice @p json in verbatim (must itself be valid JSON). */
-    JsonBuilder &
-    fieldRaw(const std::string &key, const std::string &json)
-    {
-        writeKey(key);
-        out += json;
-        return *this;
-    }
-
     /** Array-element string value. */
     JsonBuilder &
     value(const std::string &v)

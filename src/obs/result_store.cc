@@ -39,15 +39,6 @@ wallClockNs()
             .count());
 }
 
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[2 + 16 + 1];
-    std::snprintf(buf, sizeof(buf), "0x%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
 unsigned long
 processId()
 {
@@ -68,7 +59,8 @@ envelopeLine(const StoreRecord &rec)
        << ",\"bench\":\"" << jsonEscape(rec.bench) << "\""
        << ",\"kernel\":\"" << jsonEscape(rec.kernel) << "\""
        << ",\"outcome\":\"" << jsonEscape(rec.outcome) << "\""
-       << ",\"config_hash\":\"" << hex64(rec.configHash) << "\"";
+       << ",\"config_hash\":\"" << formatConfigHash(rec.configHash)
+       << "\"";
     if (rec.point >= 0)
         os << ",\"point\":" << rec.point;
     os << ",\"timestamp_ns\":" << rec.timestampNs
@@ -260,6 +252,15 @@ RecordFilter::matches(const LoadedRecord &rec) const
            (outcome.empty() || rec.outcome == outcome);
 }
 
+std::string
+formatConfigHash(std::uint64_t hash)
+{
+    char buf[2 + 16 + 1];
+    std::snprintf(buf, sizeof(buf), "0x%016llx",
+                  static_cast<unsigned long long>(hash));
+    return buf;
+}
+
 std::uint64_t
 parseConfigHash(const std::string &text)
 {
@@ -277,9 +278,8 @@ namespace
 
 /**
  * Decode one record line into @p out. Returns false (with @p why)
- * on malformed input. A line that is valid JSON but carries no store
- * envelope is ingested as a bare RunReport payload — plain JSONL
- * from --report-out reads as a store of kind="run" records.
+ * on malformed input, including a JSON object without the store
+ * envelope.
  */
 bool
 decodeLine(const std::string &text, LoadedRecord &out,
@@ -297,38 +297,27 @@ decodeLine(const std::string &text, LoadedRecord &out,
         return false;
     }
 
-    if (value.has("store_schema") && value.has("record")) {
-        out.kind = value.stringOr("kind", "run");
-        out.bench = value.stringOr("bench", "");
-        out.kernel = value.stringOr("kernel", "");
-        out.outcome = value.stringOr("outcome", "ok");
-        out.configHash =
-            parseConfigHash(value.stringOr("config_hash", ""));
-        out.point = static_cast<long>(value.numberOr("point", -1));
-        out.timestampNs = static_cast<std::uint64_t>(
-            value.numberOr("timestamp_ns", 0));
-        // Re-slice the raw payload from the original text so unknown
-        // payload fields survive verbatim: find the "record": key and
-        // take everything up to the envelope's closing brace.
-        std::size_t at = text.find("\"record\":");
-        std::size_t end = text.find_last_of('}');
-        if (at != std::string::npos && end != std::string::npos &&
-            end > at) {
-            out.rawJson =
-                text.substr(at + 9, end - (at + 9));
-        }
-        out.record = value.at("record");
-        return true;
+    if (!value.has("store_schema") || !value.has("record")) {
+        why = "no store envelope (store_schema and record keys)";
+        return false;
     }
 
-    // Bare RunReport JSONL line.
-    out.kind = "run";
-    out.kernel = value.stringOr("run", "");
+    out.kind = value.stringOr("kind", "run");
+    out.bench = value.stringOr("bench", "");
+    out.kernel = value.stringOr("kernel", "");
     out.outcome = value.stringOr("outcome", "ok");
-    out.configHash =
-        parseConfigHash(value.stringOr("config_hash", ""));
-    out.rawJson = text;
-    out.record = std::move(value);
+    out.configHash = parseConfigHash(value.stringOr("config_hash", ""));
+    out.point = static_cast<long>(value.numberOr("point", -1));
+    out.timestampNs =
+        static_cast<std::uint64_t>(value.numberOr("timestamp_ns", 0));
+    // Re-slice the raw payload from the original text so unknown
+    // payload fields survive verbatim: find the "record": key and take
+    // everything up to the envelope's closing brace.
+    std::size_t at = text.find("\"record\":");
+    std::size_t end = text.find_last_of('}');
+    if (at != std::string::npos && end != std::string::npos && end > at)
+        out.rawJson = text.substr(at + 9, end - (at + 9));
+    out.record = value.at("record");
     return true;
 }
 

@@ -3,11 +3,11 @@
  * ResultStore: an embedded, append-friendly, queryable on-disk store
  * for run results.
  *
- * Every run so far emitted write-only artifacts (RunReport JSONL,
- * stats JSON, critical-path profiles, host-telemetry blobs); a
- * design-space sweep produces hundreds of them and nothing could
- * list, compare, or regress across runs. The store makes results a
- * managed collection with no external database dependency:
+ * Write-only artifacts (stats JSON, critical-path profiles,
+ * host-telemetry blobs) cannot be listed, compared, or regressed
+ * across the hundreds of runs of a design-space sweep. The store is
+ * the one place every run record lands, a managed collection with
+ * no external database dependency:
  *
  *   <dir>/STORE.json              manifest: schema header plus one
  *                                 registration line per record file
@@ -19,13 +19,14 @@
  * around the payload JSON verbatim. Writers are renameless appenders:
  * a process opens its own record file, so concurrent processes never
  * contend, and within a process appends buffer in memory under a
- * cheap lock and flush once (per sweep / at exit) — record I/O never
- * happens under a lock on the simulation path.
+ * cheap lock and flush in one append (after each point of a durable
+ * sweep, on a fatal run, at exit) — record I/O never happens under
+ * a lock on the simulation path.
  *
  * The read side (StoreReader) scans every record file, indexes by
- * config hash, and skips corrupt or truncated lines with a warning
- * instead of failing the load — a killed writer must not poison the
- * store. Unknown envelope or payload fields are preserved: the raw
+ * config hash, and skips corrupt or truncated lines, and lines
+ * without the envelope, with a warning instead of failing the load
+ * — a killed writer must not poison the store. Unknown envelope or payload fields are preserved: the raw
  * line is kept verbatim, so round-tripping a record written by a
  * newer schema loses nothing (forward compatibility).
  *
@@ -187,9 +188,9 @@ struct RecordFilter
 };
 
 /**
- * Read side: load a store directory (or a bare JSONL file — plain
- * --report-out output ingests as kind="run" records) into memory and
- * answer queries. Corrupt lines are skipped with a warning.
+ * Read side: load a store directory (or one of its record files) into
+ * memory and answer queries. Corrupt lines, and lines without the
+ * store envelope, are skipped with a warning.
  */
 class StoreReader
 {
@@ -231,6 +232,9 @@ class StoreReader
     std::vector<std::string> loadWarnings;
     std::vector<LoadedRecord> recs;
 };
+
+/** Config-hash text as records carry it: "0x" and 16 hex digits. */
+std::string formatConfigHash(std::uint64_t hash);
 
 /** Parse "0x..."/decimal config-hash text; 0 on malformed input. */
 std::uint64_t parseConfigHash(const std::string &text);

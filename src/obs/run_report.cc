@@ -1,15 +1,10 @@
 #include "run_report.hh"
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <map>
-#include <mutex>
 #include <sstream>
 
-#include "host_telemetry.hh"
 #include "json.hh"
-#include "sim/sim_context.hh"
+#include "result_store.hh"
 
 namespace salam::obs
 {
@@ -86,62 +81,6 @@ ensureParentDir(const std::string &path)
     return !ec || std::filesystem::is_directory(parent);
 }
 
-namespace
-{
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[2 + 16 + 1];
-    std::snprintf(buf, sizeof(buf), "0x%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-/**
- * Append @p data to @p path under the shared append lock. The lock
- * guards only the file operation — callers serialize to text first —
- * and the instrumented mutex lets host telemetry report how much
- * wall time the residual contention costs.
- */
-bool
-lockedAppend(const std::string &path, const std::string &data)
-{
-    static TimedMutex appendMutex("run_report_append");
-    std::lock_guard<TimedMutex> lock(appendMutex);
-    if (!ensureParentDir(path))
-        return false;
-    std::ofstream os(path, std::ios::app);
-    if (!os)
-        return false;
-    os << data;
-    return static_cast<bool>(os);
-}
-
-} // namespace
-
-ReportBuffer::~ReportBuffer()
-{
-    flush();
-}
-
-bool
-ReportBuffer::flush()
-{
-    if (entries.empty())
-        return true;
-    // Group by destination so each path is opened once per flush; a
-    // sweep's worth of lines lands in one append per worker.
-    std::map<std::string, std::string> by_path;
-    for (auto &[path, line] : entries)
-        by_path[path] += line;
-    entries.clear();
-    bool ok = true;
-    for (const auto &[path, data] : by_path)
-        ok = lockedAppend(path, data) && ok;
-    return ok;
-}
-
 void
 RunReport::writeJson(std::ostream &os) const
 {
@@ -153,7 +92,8 @@ RunReport::writeJson(std::ostream &os) const
        << "\""
        // Hex string, not a number: 64-bit hashes do not survive the
        // double-precision round trip most JSON readers apply.
-       << ",\"config_hash\":\"" << hex64(configHash) << "\""
+       << ",\"config_hash\":\"" << formatConfigHash(configHash)
+       << "\""
        << ",\"command_line\":\"" << jsonEscape(commandLine) << "\""
        << ",\"build\":" << buildInfoJson()
        << ",\"outcome\":\""
@@ -177,23 +117,6 @@ RunReport::jsonString() const
     std::ostringstream os;
     writeJson(os);
     return os.str();
-}
-
-bool
-RunReport::appendToFile(const std::string &path) const
-{
-    ScopedHostPhase phase(HostPhase::ReportIo);
-    std::ostringstream line;
-    writeJson(line);
-    line << "\n";
-
-    // A sweep worker buffers worker-locally (no lock, no I/O); the
-    // buffer's end-of-sweep flush performs the one real append.
-    if (ReportBuffer *sink = SimContext::current().reportSink()) {
-        sink->add(path, line.str());
-        return true;
-    }
-    return lockedAppend(path, line.str());
 }
 
 } // namespace salam::obs

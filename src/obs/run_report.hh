@@ -6,15 +6,9 @@
  * BENCH_*.json inputs) can be derived from real instrumented runs
  * instead of hand-copied console output. The stats payload is the
  * StatRegistry::dumpJson rendering, embedded verbatim; the report
- * itself stays dependency-free so any layer can produce one.
- *
- * Output routing: appendToFile() consults the calling thread's
- * SimContext. With no report sink bound it appends directly to the
- * file (serialization happens outside the lock; the lock guards only
- * the append). When a sweep has bound a per-worker ReportBuffer, the
- * line is buffered worker-locally with no locking at all and flushed
- * once when the sweep ends — the fix for the per-point
- * mutex-during-I/O contention the parallel-sweep work kept hitting.
+ * itself stays dependency-free so any layer can produce one. A
+ * report is persisted as the payload of a kind="run" record in the
+ * result store (ResultStore::appendRunReport).
  */
 
 #ifndef SALAM_OBS_RUN_REPORT_HH
@@ -59,39 +53,6 @@ std::uint64_t fnv1aHash(const std::string &text);
  * is trivially true.
  */
 bool ensureParentDir(const std::string &path);
-
-/**
- * Per-worker buffer of run-report lines, keyed by destination path.
- * Not thread-safe by design: one buffer belongs to one worker thread
- * (bound via SimContext::setReportSink), and flush() happens after
- * the worker is done — one file append per path per sweep instead of
- * one lock acquisition per point. The destructor flushes.
- */
-class ReportBuffer
-{
-  public:
-    ReportBuffer() = default;
-
-    ~ReportBuffer();
-
-    ReportBuffer(const ReportBuffer &) = delete;
-    ReportBuffer &operator=(const ReportBuffer &) = delete;
-
-    /** Buffer one already-serialized line (newline included). */
-    void
-    add(std::string path, std::string line)
-    {
-        entries.emplace_back(std::move(path), std::move(line));
-    }
-
-    /** Append every buffered line to its file; false on I/O error. */
-    bool flush();
-
-    std::size_t pendingLines() const { return entries.size(); }
-
-  private:
-    std::vector<std::pair<std::string, std::string>> entries;
-};
 
 /** Everything worth persisting about one run. */
 struct RunReport
@@ -155,16 +116,8 @@ struct RunReport
     /** Write the report as one self-contained JSON object. */
     void writeJson(std::ostream &os) const;
 
-    /** writeJson as a string (the JSONL/store line body). */
+    /** writeJson as a string (the store record's payload). */
     std::string jsonString() const;
-
-    /**
-     * Append the report as one line of JSON (JSONL) to @p path,
-     * through the current SimContext's report sink when one is
-     * bound (see the file comment). Creates missing parent
-     * directories. @return false on I/O failure.
-     */
-    bool appendToFile(const std::string &path) const;
 };
 
 } // namespace salam::obs

@@ -41,7 +41,6 @@ namespace salam
 namespace obs
 {
 class HostTelemetry;
-class ReportBuffer;
 } // namespace obs
 
 /**
@@ -140,19 +139,7 @@ class SimContext
     void setHostTelemetry(obs::HostTelemetry *telemetry)
     { _telemetry = telemetry; }
 
-    // --- run-report output routing ---
-
-    /**
-     * Where RunReport::appendToFile() sends its lines: null appends
-     * straight to the file (single-run behaviour); non-null buffers
-     * into a per-worker ReportBuffer that a sweep flushes once at
-     * the end, so workers never take the file-append lock per point.
-     * Non-owning; the attacher keeps the buffer alive.
-     */
-    obs::ReportBuffer *reportSink() const { return _reportSink; }
-
-    void setReportSink(obs::ReportBuffer *sink)
-    { _reportSink = sink; }
+    // --- sweep point identity ---
 
     /**
      * Index of the sweep point running under this context, or -1
@@ -205,8 +192,6 @@ class SimContext
     /** Replace the sink; a null sink restores the default (stderr). */
     void setLogSink(LogSink sink) { _sink = std::move(sink); }
 
-    bool hasLogSink() const { return static_cast<bool>(_sink); }
-
     /** Emit one already-formatted line through this context's sink. */
     void emitLog(const std::string &line) const;
 
@@ -224,8 +209,6 @@ class SimContext
     const char *fatalOutcome() const { return _outcome; }
 
     void setFatalMode(FatalMode mode) { _fatalMode = mode; }
-
-    FatalMode fatalMode() const { return _fatalMode; }
 
     /**
      * Terminate the current run: run this context's hooks
@@ -252,7 +235,6 @@ class SimContext
 
     std::uint64_t _flagMask = 0;
     obs::HostTelemetry *_telemetry = nullptr;
-    obs::ReportBuffer *_reportSink = nullptr;
     long _sweepPoint = -1;
     std::uint64_t _pointDeadlineNs = 0;
     const std::atomic<bool> *_cancelFlag = nullptr;

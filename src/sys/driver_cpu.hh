@@ -146,14 +146,6 @@ class DriverCpu : public ClockedObject
             program.push_back(op);
     }
 
-    /** Per-MMIO-operation driver overhead in host cycles. */
-    void setOpOverheadCycles(std::uint64_t cycles)
-    { opOverhead = cycles; }
-
-    /** Poll retry interval in host cycles. */
-    void setPollIntervalCycles(std::uint64_t cycles)
-    { pollInterval = cycles; }
-
     bool finished() const
     { return program.empty() && !busy; }
 
@@ -225,8 +217,10 @@ class DriverCpu : public ClockedObject
     bool busy = false; ///< an op is in flight (MMIO or wait)
     bool waitingIrq = false;
     unsigned waitedIrqId = 0;
-    std::uint64_t opOverhead = 20;
-    std::uint64_t pollInterval = 50;
+    /** Per-MMIO-operation driver overhead in host cycles. */
+    static constexpr std::uint64_t opOverhead = 20;
+    /** Poll retry interval in host cycles. */
+    static constexpr std::uint64_t pollInterval = 50;
     std::map<std::string, Tick> marks;
     std::uint64_t mmioCount = 0;
     std::uint64_t opsRetired = 0;

@@ -16,8 +16,8 @@
  * needed more than one attempt.
  *
  * Filters: --bench B --kernel K --outcome O --kind D.
- * A <store> is a directory written with --store-out, or a bare
- * RunReport JSONL file (ingested as kind="run" records).
+ * A <store> is a directory written with --store-out, or one of its
+ * record files.
  *
  * Exit codes: 0 success; 1 usage or I/O error; 2 `regress` found a
  * regression beyond the threshold (the CI-gate signal).
@@ -139,15 +139,6 @@ loadOrDie(const std::string &path, int &rc)
     return reader;
 }
 
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[2 + 16 + 1];
-    std::snprintf(buf, sizeof(buf), "0x%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
 int
 cmdList(const Args &args)
 {
@@ -172,7 +163,8 @@ cmdList(const Args &args)
                 obs::jsonEscape(rec->bench).c_str(),
                 obs::jsonEscape(rec->kernel).c_str(),
                 obs::jsonEscape(rec->outcome).c_str(),
-                hex64(rec->configHash).c_str(), rec->point,
+                obs::formatConfigHash(rec->configHash).c_str(),
+                rec->point,
                 obs::jsonNumber(rec->number("cycles")).c_str());
         }
         std::printf("]\n");
@@ -187,7 +179,7 @@ cmdList(const Args &args)
                     rec->kind.c_str(), rec->bench.c_str(),
                     rec->kernel.c_str(), rec->outcome.c_str(),
                     rec->point, rec->number("cycles"),
-                    hex64(rec->configHash).c_str());
+                    obs::formatConfigHash(rec->configHash).c_str());
     }
     // Outcome histogram: one line splitting the deferred classes
     // (cached, skipped) from real failures at a glance.
@@ -309,7 +301,7 @@ cmdShow(const Args &args)
         obs::jsonEscape(rec->bench).c_str(),
         obs::jsonEscape(rec->kernel).c_str(),
         obs::jsonEscape(rec->outcome).c_str(),
-        hex64(rec->configHash).c_str(), rec->point,
+        obs::formatConfigHash(rec->configHash).c_str(), rec->point,
         static_cast<unsigned long long>(rec->timestampNs),
         rec->rawJson.empty() ? "{}" : rec->rawJson.c_str());
     return 0;

@@ -3,14 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "drive/testbench.hh"
 #include "kernels/machsuite.hh"
 #include "obs/json_reader.hh"
+#include "obs/result_store.hh"
+#include "sim/sim_context.hh"
 
 using namespace salam;
 using salam::drive::BenchMemory;
@@ -109,4 +113,50 @@ TEST(Testbench, FastModeFallsBackForPerRunArtifacts)
         drive::runSalamMode(options, *kernel, "n8u2");
     EXPECT_EQ(fast.simMode, "fast");
     EXPECT_EQ(fast.cycles, run.cycles);
+}
+
+/**
+ * A run that dies through fatal() still lands in the store: the
+ * termination hook records the fatal outcome and the stats through
+ * recordRun, and flushes before the run unwinds.
+ */
+TEST(Testbench, FatalRunRecordsItsOutcomeInTheStore)
+{
+    const std::string store =
+        ::testing::TempDir() + "ut_testbench_fatal_store";
+    std::filesystem::remove_all(store);
+    ObsOptions options;
+    options.storeOut = store;
+    options.benchName = "unit";
+    // A flipped exponent bit in a scratchpad response breaks the
+    // golden check.
+    options.injectSpecs = {"bit_flip@spm:nth=20:bit=62"};
+    auto kernel = kernels::makeGemm(8, 2);
+
+    SimContext ctx;
+    ctx.setFatalMode(SimContext::FatalMode::Throw);
+    {
+        ScopedSimContext bind(ctx);
+        try {
+            drive::runSalam(options, *kernel);
+            ADD_FAILURE() << "the flipped bit passed the golden check";
+        } catch (const FatalError &e) {
+            EXPECT_EQ(e.outcome(), "fault") << e.what();
+        }
+    }
+
+    obs::StoreReader reader = obs::StoreReader::load(store);
+    ASSERT_TRUE(reader.ok()) << reader.error();
+    obs::RecordFilter runs;
+    runs.kind = "run";
+    std::vector<const obs::LoadedRecord *> records =
+        reader.select(runs);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0]->bench, "unit");
+    EXPECT_EQ(records[0]->kernel, "gemm");
+    EXPECT_EQ(records[0]->outcome, "fault");
+    EXPECT_EQ(records[0]->record.stringOr("outcome", ""), "fault");
+    ASSERT_TRUE(records[0]->record.has("stats"));
+    EXPECT_TRUE(records[0]->record.at("stats").isObject());
+    std::filesystem::remove_all(store);
 }

@@ -61,8 +61,7 @@ captureKernel(std::unique_ptr<kernels::Kernel> kernel,
 {
     core::DeviceConfig dev;
     dev.blockSequentialImport = block_sequential;
-    drive::TraceCache::Entry entry =
-        drive::captureTraceEntry({}, *kernel, dev);
+    drive::TraceCache::Entry entry = drive::captureTraceEntry(*kernel, dev);
     return std::make_unique<KernelCapture>(
         KernelCapture{std::move(entry), std::move(kernel)});
 }

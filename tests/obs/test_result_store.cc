@@ -147,32 +147,53 @@ TEST_F(StoreTest, UnknownFieldsSurviveRoundTrip)
     EXPECT_TRUE(rec.record.has("future_field"));
 }
 
-TEST_F(StoreTest, BareRunReportJsonlIngests)
+TEST_F(StoreTest, RunReportMapsOntoARunRecord)
 {
-    // Plain --report-out output (no store envelope) must load as
-    // kind="run" records keyed by the report's own fields.
-    fs::create_directories(dir);
-    std::string path = (fs::path(dir) / "reports.jsonl").string();
+    // appendRunReport is how every run lands in a store: the envelope
+    // takes its query keys from the report, and the payload is the
+    // report itself.
+    RunReport report;
+    report.run = "spmv";
+    report.cycles = 4242;
+    report.configHash = 0xabc;
+    report.outcome = "fault";
     {
-        RunReport report;
-        report.run = "spmv";
-        report.cycles = 4242;
-        report.configHash = 0xabc;
-        ASSERT_TRUE(report.appendToFile(path));
+        auto store = ResultStore::open(dir);
+        ASSERT_NE(store, nullptr);
+        store->appendRunReport(report, "unit_bench");
+    }
+    // A line without the store envelope (the bare report payload) is
+    // not a record: the reader skips it with a warning.
+    {
+        std::ofstream os(fs::path(dir) / "records-9999-0.jsonl");
+        os << report.jsonString() << "\n";
     }
 
-    StoreReader reader = StoreReader::load(path);
+    StoreReader reader = StoreReader::load(dir);
     ASSERT_TRUE(reader.ok()) << reader.error();
     ASSERT_EQ(reader.records().size(), 1u);
     const LoadedRecord &rec = reader.records()[0];
     EXPECT_EQ(rec.kind, "run");
+    EXPECT_EQ(rec.bench, "unit_bench");
     EXPECT_EQ(rec.kernel, "spmv");
+    EXPECT_EQ(rec.outcome, "fault");
     EXPECT_EQ(rec.configHash, 0xabcu);
+    EXPECT_EQ(rec.record.stringOr("config_hash", ""),
+              formatConfigHash(0xabc));
     EXPECT_DOUBLE_EQ(rec.number("cycles"), 4242.0);
+    EXPECT_EQ(rec.rawJson, report.jsonString());
     // v5 reports always carry build attribution.
     ASSERT_TRUE(rec.record.has("build"));
     EXPECT_TRUE(rec.record.at("build").has("git_sha"));
     EXPECT_TRUE(rec.record.at("build").has("build_type"));
+
+    std::size_t skipped = 0;
+    for (const std::string &warning : reader.warnings()) {
+        if (warning.find("records-9999-0.jsonl:1: skipped (no store "
+                         "envelope") != std::string::npos)
+            ++skipped;
+    }
+    EXPECT_EQ(skipped, 1u);
 }
 
 TEST_F(StoreTest, ConcurrentAppendsFromManyThreads)
@@ -390,39 +411,8 @@ TEST(ParseConfigHashTest, Formats)
     EXPECT_EQ(parseConfigHash(""), 0u);
     EXPECT_EQ(parseConfigHash("junk"), 0u);
     EXPECT_EQ(parseConfigHash("0x10zz"), 0u);
-}
-
-TEST(ReportBufferTest, BuffersAndFlushesGrouped)
-{
-    fs::path dir =
-        fs::temp_directory_path() / "salam_report_buffer_test";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    std::string path = (dir / "out.jsonl").string();
-
-    SimContext ctx;
-    ScopedSimContext bind(ctx);
-    {
-        ReportBuffer buffer;
-        ctx.setReportSink(&buffer);
-        RunReport report;
-        report.run = "gemm";
-        report.cycles = 1;
-        EXPECT_TRUE(report.appendToFile(path));
-        report.cycles = 2;
-        EXPECT_TRUE(report.appendToFile(path));
-        // Buffered, not yet on disk.
-        EXPECT_EQ(buffer.pendingLines(), 2u);
-        EXPECT_FALSE(fs::exists(path));
-        ctx.setReportSink(nullptr);
-    } // destructor flushes
-
-    std::ifstream is(path);
-    ASSERT_TRUE(is.good());
-    std::string line;
-    unsigned lines = 0;
-    while (std::getline(is, line))
-        ++lines;
-    EXPECT_EQ(lines, 2u);
-    fs::remove_all(dir);
+    // The formatter writes what the parser reads back.
+    EXPECT_EQ(formatConfigHash(0x10), "0x0000000000000010");
+    EXPECT_EQ(parseConfigHash(formatConfigHash(0xef37eb005e1fb7e8ull)),
+              0xef37eb005e1fb7e8ull);
 }
